@@ -93,8 +93,9 @@ def default_checkpoints(horizon: int) -> list[int]:
 class ExperimentConfig:
     """Everything needed to reproduce an experiment.
 
-    ``instance`` is either a generator spec (``needle:K=8,L=8,p=0.25,gap=0.5``
-    or ``pbm:K=16,L=16,head_mass=0.85,decay=0.6``) or a path to a saved
+    ``instance`` is either a generator spec
+    (``needle:K=8,L=8,p=0.25,gap=0.5`` or
+    ``pbm-like:K=16,L=16,head_mass=0.85,decay=0.6``) or a path to a saved
     instance file.  ``checkpoints`` of None means the default log-spaced
     grid for the horizon.
     """
@@ -184,7 +185,12 @@ class AggregateResult:
 
 
 def run_one(config: ExperimentConfig, run_index: int) -> RegretTrace:
-    """Play one seeded run to the horizon, recording regret at checkpoints."""
+    """Play one seeded run to the horizon, recording regret at checkpoints.
+
+    Policies with a ``plan`` method are played a block at a time through
+    ``Environment.play``, each block at most ``env.block_steps`` long;
+    the others one step at a time.  Both paths give the same bits.
+    """
     if run_index < 0:
         raise ValueError("run_index must be nonnegative")
     inst = parse_instance_spec(config.instance)
@@ -199,13 +205,27 @@ def run_one(config: ExperimentConfig, run_index: int) -> RegretTrace:
     pseudo: list[float] = []
     stoch: list[float] = []
     nxt = 0  # index of the next checkpoint to record
-    for t in range(1, config.horizon + 1):
-        i, j = policy.select()
-        policy.update((i, j), env.step(i, j))
-        if nxt < len(checkpoints) and t == checkpoints[nxt]:
-            pseudo.append(env.cum_pseudo_regret)
-            stoch.append(env.cum_stochastic_regret)
-            nxt += 1
+    if hasattr(policy, "plan"):
+        t = 0  # steps played so far
+        while t < config.horizon:
+            rows, cols = policy.plan(env.block_steps)
+            rewards, block_pseudo, block_stoch = env.play(rows, cols)
+            policy.commit(rows, cols, rewards)
+            first = t + 1  # the step the block began with
+            t += rows.size
+            while nxt < len(checkpoints) and checkpoints[nxt] <= t:
+                k = checkpoints[nxt] - first
+                pseudo.append(float(block_pseudo[k]))
+                stoch.append(float(block_stoch[k]))
+                nxt += 1
+    else:
+        for t in range(1, config.horizon + 1):
+            i, j = policy.select()
+            policy.update((i, j), env.step(i, j))
+            if nxt < len(checkpoints) and t == checkpoints[nxt]:
+                pseudo.append(env.cum_pseudo_regret)
+                stoch.append(env.cum_stochastic_regret)
+                nxt += 1
     return RegretTrace(
         run_index=run_index,
         env_seed=env_seed,

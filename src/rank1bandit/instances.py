@@ -175,6 +175,12 @@ class Environment:
     touches, which keeps the per-step cost flat while preserving the
     exact K + L draws-per-step accounting.  Accumulates both regret
     notions so the run loop can read them at checkpoints.
+
+    ``step`` plays one pair; ``play`` scores a whole block of pairs in
+    numpy from an (m, K + L) slab of the same stream.  The two can be
+    interleaved freely: each reads the uniforms the other left unread.
+    ``block_steps`` is how many steps one block of at most 32,768
+    uniforms covers.
     """
 
     def __init__(self, inst: Rank1Instance, rng: np.random.Generator):
@@ -186,9 +192,11 @@ class Environment:
         self._span = inst.K + inst.L
         self._best_row = int(np.argmax(inst.u_bar))
         self._best_col = int(np.argmax(inst.v_bar))
-        best_value = float(inst.u_bar[self._best_row] * inst.v_bar[self._best_col])
-        self._gap = (best_value - np.outer(inst.u_bar, inst.v_bar)).tolist()
-        self._block_steps = max(1, 32768 // self._span)
+        self._best_value = float(inst.u_bar[self._best_row] * inst.v_bar[self._best_col])
+        self.block_steps = max(1, 32768 // self._span)
+        # the current block of uniforms, as drawn and as a list for step;
+        # _pos is the offset of its first unread uniform
+        self._block = np.empty(0)
         self._buf: list[float] = []
         self._pos = 0
         self.steps = 0
@@ -204,20 +212,71 @@ class Environment:
         pos = self._pos
         buf = self._buf
         if pos >= len(buf):
-            buf = self._buf = self._rng.random(self._block_steps * self._span).tolist()
+            self._block = self._rng.random(self.block_steps * self._span)
+            buf = self._buf = self._block.tolist()
             pos = 0
-        u_i = buf[pos + i] < self._u[i]
-        v_j = buf[pos + K + j] < self._v[j]
-        reward = 1 if (u_i and v_j) else 0
+        u, v = self._u, self._v
+        reward = 1 if (buf[pos + i] < u[i] and buf[pos + K + j] < v[j]) else 0
         br, bc = self._best_row, self._best_col
-        if (buf[pos + br] < self._u[br]) and (buf[pos + K + bc] < self._v[bc]):
+        if (buf[pos + br] < u[br]) and (buf[pos + K + bc] < v[bc]):
             self.cum_stochastic_regret += 1 - reward
         else:
             self.cum_stochastic_regret -= reward
-        self.cum_pseudo_regret += self._gap[i][j]
+        self.cum_pseudo_regret += self._best_value - u[i] * v[j]
         self._pos = pos + self._span
         self.steps += 1
         return reward
+
+    def play(self, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Play the pairs (rows[t], cols[t]) in order, one step each.
+
+        Returns the rewards (int8) and the cumulative pseudo-regret and
+        stochastic regret after each step of the block.  Step t reads
+        uniforms [t*(K+L), (t+1)*(K+L)) of the slab, rows first, exactly
+        as ``step`` would, and the regrets are summed in the same order,
+        so the results are bit-identical to m calls of ``step``.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        K, span = self._K, self._span
+        m = rows.size
+        if rows.shape != (m,) or cols.shape != (m,):
+            raise ValueError("rows and cols must be 1-d arrays of one length")
+        if m == 0:
+            return np.zeros(0, np.int8), np.zeros(0), np.zeros(0)
+        if rows.min() < 0 or rows.max() >= K:
+            raise IndexError(f"row index outside [0, {K})")
+        if cols.min() < 0 or cols.max() >= span - K:
+            raise IndexError(f"column index outside [0, {span - K})")
+        z = self._slab(m * span).reshape(m, span)
+        u, v = self.inst.u_bar, self.inst.v_bar
+        t = np.arange(m)
+        hit = (z[t, rows] < u[rows]) & (z[t, K + cols] < v[cols])
+        br, bc = self._best_row, self._best_col
+        best = (z[:, br] < u[br]) & (z[:, K + bc] < v[bc])
+        rewards = hit.view(np.int8)
+        stoch = self.cum_stochastic_regret + np.cumsum(best.view(np.int8) - rewards, dtype=np.int64)
+        gaps = np.empty(m + 1)
+        gaps[0] = self.cum_pseudo_regret
+        np.subtract(self._best_value, u[rows] * v[cols], out=gaps[1:])
+        # a sequential left fold: the same additions, in the same order, as step
+        pseudo = np.add.accumulate(gaps)[1:]
+        self.cum_pseudo_regret = float(pseudo[-1])
+        self.cum_stochastic_regret = float(stoch[-1])
+        self.steps += m
+        return rewards, pseudo, stoch
+
+    def _slab(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms of the stream: the unread rest of the
+        current block first, then fresh draws."""
+        pos, block = self._pos, self._block
+        avail = len(self._buf) - pos
+        if n <= avail:
+            self._pos = pos + n
+            return block[pos:pos + n]
+        fresh = self._rng.random(n - avail)
+        self._pos = len(self._buf)
+        return np.concatenate((block[pos:], fresh)) if avail else fresh
 
 
 def save_instance(inst: Rank1Instance, path) -> None:

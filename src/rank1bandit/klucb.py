@@ -66,7 +66,8 @@ def _check_solver_args(mu_hat: float, pulls: float, delta: float) -> tuple[float
 def kl_ucb_upper(mu_hat: float, pulls: float, delta: float) -> float:
     """Largest q in [mu_hat, 1] with pulls * d(mu_hat, q) <= delta.
 
-    For mu_hat = 0 this is 1 - exp(-delta/pulls); for mu_hat = 1 it is 1.
+    For mu_hat = 0 this is 1 - exp(-delta/pulls), or the largest double
+    below 1 once that rounds to 1; for mu_hat = 1 it is 1.
     """
     mu_hat, pulls, delta = _check_solver_args(mu_hat, pulls, delta)
     if delta == 0.0 or mu_hat == 1.0:
@@ -74,7 +75,7 @@ def kl_ucb_upper(mu_hat: float, pulls: float, delta: float) -> float:
     log = math.log
     if mu_hat == 0.0:
         def dq(q: float) -> float:
-            return -math.log1p(-q)
+            return math.inf if q >= 1.0 else -math.log1p(-q)
     else:
         base = mu_hat * log(mu_hat) + (1.0 - mu_hat) * log(1.0 - mu_hat)
 

@@ -5,6 +5,13 @@ play, ``update(arm, reward)`` feeds back the binary reward for exactly
 that pair.  Policies draw any internal randomness from their own
 generator, never from the environment's, so a (policy seed, env seed)
 pair fixes a run completely.
+
+The elimination policies (``BlockPolicy`` subclasses) also offer a block
+protocol: ``plan(limit)`` returns the next arms up to the next stage or
+round boundary, which do not depend on any reward, and ``commit(rows,
+cols, rewards)`` feeds their rewards back.  It draws from the policy's
+generator in the same order and leaves the same state as the per-step
+calls would, so the two protocols can be mixed within a run.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from rank1bandit.klucb import kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
 
 
 class ProtocolError(RuntimeError):
-    """select/update called out of order, past the horizon, or mismatched."""
+    """Calls out of order, past the horizon or mismatched, or a broken
+    elimination invariant."""
 
 
 def hoeffding_bounds(mu_hat: float, pulls: float, delta: float) -> tuple[float, float]:
@@ -60,7 +68,7 @@ class Policy:
         if self.t >= self.horizon:
             raise ProtocolError(f"select called after the horizon of {self.horizon} steps")
         if self._pending is not None:
-            raise ProtocolError("select called again before update")
+            raise ProtocolError("select called again before update or commit")
         arm = self._select()
         self._pending = arm
         return arm
@@ -81,6 +89,65 @@ class Policy:
         raise NotImplementedError
 
 
+class _Plan:
+    """A planned block: its arms, and the policy-specific state to adopt
+    once its rewards are committed."""
+
+    __slots__ = ("rows", "cols", "state")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, state):
+        self.rows = rows
+        self.cols = cols
+        self.state = state
+
+    def __repr__(self) -> str:
+        return f"<planned block of {self.rows.size} arms>"
+
+
+class BlockPolicy(Policy):
+    """A policy whose arms up to its next boundary do not depend on rewards.
+
+    ``plan(limit)`` returns the next at most ``limit`` arms as two int64
+    arrays, never past the next stage or round boundary nor past the
+    horizon; ``commit(rows, cols, rewards)`` then folds their rewards in.
+    Subclasses implement ``_plan(limit) -> (rows, cols, state)`` and
+    ``_commit(rows, cols, rewards, state)``.
+    """
+
+    def plan(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
+        if self.t >= self.horizon:
+            raise ProtocolError(f"plan called after the horizon of {self.horizon} steps")
+        if self._pending is not None:
+            raise ProtocolError("plan called again before update or commit")
+        if limit < 1:
+            raise ValueError(f"limit must be at least 1, got {limit!r}")
+        rows, cols, state = self._plan(min(int(limit), self.horizon - self.t))
+        self._pending = _Plan(rows, cols, state)
+        return rows, cols
+
+    def commit(self, rows, cols, rewards) -> None:
+        plan = self._pending
+        if not isinstance(plan, _Plan):
+            raise ProtocolError("commit called without a planned block")
+        if not (np.array_equal(rows, plan.rows) and np.array_equal(cols, plan.cols)):
+            raise ProtocolError("commit for a block other than the one planned")
+        rewards = np.asarray(rewards)
+        if rewards.shape != plan.rows.shape:
+            raise ProtocolError(
+                f"{rewards.size} rewards for a block of {plan.rows.size} arms")
+        if rewards.dtype != np.bool_ and ((rewards != 0) & (rewards != 1)).any():
+            raise ValueError("rewards must be 0 or 1")
+        self._pending = None
+        self.t += plan.rows.size
+        self._commit(plan.rows, plan.cols, rewards.astype(bool), plan.state)
+
+    def _plan(self, limit: int):
+        raise NotImplementedError
+
+    def _commit(self, rows: np.ndarray, cols: np.ndarray, hits: np.ndarray, state) -> None:
+        raise NotImplementedError
+
+
 @dataclass
 class StageRecord:
     """Snapshot taken at an elimination boundary, after re-pointing."""
@@ -92,7 +159,7 @@ class StageRecord:
     cols: tuple[int, ...]
 
 
-class Rank1ElimKL(Policy):
+class Rank1ElimKL(BlockPolicy):
     """Stagewise elimination on rows and columns with divergence intervals.
 
     Stage targets grow as ceil(16 * 4^stage * ln(horizon)) observations
@@ -102,8 +169,14 @@ class Rank1ElimKL(Policy):
     At a stage boundary each surviving mean estimate (total count divided
     by the stage target) gets a confidence interval with divergence
     budget ln(n) + 3*ln(ln(n)); anything whose upper bound does not
-    exceed the best lower bound collapses onto the leader, and the count
-    tables carry over unchanged.
+    exceed the best lower bound collapses onto the leader, and the
+    success counts carry over unchanged.
+
+    Only the row and column totals of the successes are ever read, so the
+    state is one K-vector (successes of each row in the row phases) and
+    one L-vector (of each column in the column phases).  ``plan`` walks
+    the rounds forward up to at most the stage boundary, whose
+    elimination needs the rewards.
     """
 
     name = "rank1elimkl"
@@ -113,8 +186,8 @@ class Rank1ElimKL(Policy):
         log_n = math.log(self.horizon)
         self.budget = log_n + 3.0 * math.log(log_n)
         self._log_n = log_n
-        self._C_u = [[0] * self.L for _ in range(self.K)]
-        self._C_v = [[0] * self.L for _ in range(self.K)]
+        self._S_u = np.zeros(self.K, dtype=np.int64)
+        self._S_v = np.zeros(self.L, dtype=np.int64)
         self._h_u = list(range(self.K))
         self._h_v = list(range(self.L))
         self._rows = list(range(self.K))
@@ -147,6 +220,16 @@ class Rank1ElimKL(Policy):
     def stage(self) -> int:
         return self._stage
 
+    @property
+    def row_successes(self) -> list[int]:
+        """Successes of each row over its row-phase observations so far."""
+        return self._S_u.tolist()
+
+    @property
+    def col_successes(self) -> list[int]:
+        """Successes of each column over its column-phase observations so far."""
+        return self._S_v.tolist()
+
     def confidence_bounds(self, mu_hat: float, pulls: int) -> tuple[float, float]:
         return (
             kl_ucb_lower(mu_hat, pulls, self.budget),
@@ -159,6 +242,12 @@ class Rank1ElimKL(Policy):
         self._row_phase = True
         self._pos = 0
 
+    def _begin_column_phase(self) -> None:
+        r = int(self.rng.integers(self.K))
+        self._cur_row = self._h_u[r]
+        self._row_phase = False
+        self._pos = 0
+
     def _select(self) -> tuple[int, int]:
         if self._row_phase:
             return (self._rows[self._pos], self._cur_col)
@@ -168,17 +257,14 @@ class Rank1ElimKL(Policy):
         pos = self._pos + 1
         if self._row_phase:
             if reward:
-                self._C_u[i][j] += 1
+                self._S_u[i] += 1
             if pos < len(self._rows):
                 self._pos = pos
                 return
-            r = int(self.rng.integers(self.K))
-            self._cur_row = self._h_u[r]
-            self._row_phase = False
-            self._pos = 0
+            self._begin_column_phase()
         else:
             if reward:
-                self._C_v[i][j] += 1
+                self._S_v[j] += 1
             if pos < len(self._cols):
                 self._pos = pos
                 return
@@ -187,24 +273,63 @@ class Rank1ElimKL(Policy):
                 self._advance_stage()
             self._begin_round()
 
+    def _plan(self, limit: int):
+        # Walks the round state forward as ``_update`` would, drawing the
+        # next row or column at each phase end; stops at the stage
+        # boundary, which ``_commit`` crosses once the rewards are in.
+        rows: list[int] = []
+        cols: list[int] = []
+        in_row: list[bool] = []
+        n = 0
+        boundary = False
+        while n < limit:
+            row_phase, pos = self._row_phase, self._pos
+            seq = self._rows if row_phase else self._cols
+            take = seq[pos:pos + limit - n]
+            k = len(take)
+            if row_phase:
+                rows += take
+                cols += [self._cur_col] * k
+            else:
+                rows += [self._cur_row] * k
+                cols += take
+            in_row += [row_phase] * k
+            n += k
+            if pos + k < len(seq):
+                self._pos = pos + k
+            elif row_phase:
+                self._begin_column_phase()
+            else:
+                self._rounds_left -= 1
+                if self._rounds_left == 0:
+                    boundary = True
+                    break
+                self._begin_round()
+        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                (np.array(in_row, dtype=bool), boundary))
+
+    def _commit(self, rows, cols, hits, state) -> None:
+        in_row, boundary = state
+        self._S_u += np.bincount(rows[hits & in_row], minlength=self.K)
+        self._S_v += np.bincount(cols[hits & ~in_row], minlength=self.L)
+        if boundary:
+            self._advance_stage()
+            self._begin_round()
+
     def _advance_stage(self) -> None:
         n_obs = self._n_target
-        u_hat = {}
-        for i in self._rows:
-            total = sum(self._C_u[i])
-            assert total <= n_obs, f"row {i} holds {total} successes over {n_obs} observations"
-            u_hat[i] = total / n_obs
-        v_hat = {}
-        for j in self._cols:
-            total = sum(row[j] for row in self._C_v)
-            assert total <= n_obs, f"column {j} holds {total} successes over {n_obs} observations"
-            v_hat[j] = total / n_obs
+        S_u, S_v = self._S_u.tolist(), self._S_v.tolist()
+        for kind, survivors, S in (("row", self._rows, S_u), ("column", self._cols, S_v)):
+            for k in survivors:
+                if not 0 <= S[k] <= n_obs:
+                    raise ProtocolError(
+                        f"{kind} {k} holds {S[k]} successes over {n_obs} observations")
 
         lower_u, upper_u, lower_v, upper_v = {}, {}, {}, {}
         for i in self._rows:
-            lower_u[i], upper_u[i] = self.confidence_bounds(u_hat[i], n_obs)
+            lower_u[i], upper_u[i] = self.confidence_bounds(S_u[i] / n_obs, n_obs)
         for j in self._cols:
-            lower_v[j], upper_v[j] = self.confidence_bounds(v_hat[j], n_obs)
+            lower_v[j], upper_v[j] = self.confidence_bounds(S_v[j] / n_obs, n_obs)
 
         row_leader = max(self._rows, key=lambda i: (lower_u[i], -i))
         col_leader = max(self._cols, key=lambda j: (lower_v[j], -j))
@@ -281,7 +406,7 @@ class UCB1(Policy):
         self._inv_sqrt[a] = 1.0 / math.sqrt(c)
 
 
-class UCB1Elim(Policy):
+class UCB1Elim(BlockPolicy):
     """Round-based elimination over the K*L flat arms.
 
     In round m every surviving arm is topped up to
@@ -289,7 +414,8 @@ class UCB1Elim(Policy):
     plus the round radius falls strictly below the best mean minus the
     radius are dropped, then w halves.  Rounds stop once n * w^2 would
     drop below e (the radius would lose meaning); after that the
-    survivors are simply cycled.
+    survivors are simply cycled.  ``plan`` covers at most the rest of a
+    round, whose elimination needs the rewards.
     """
 
     name = "ucb1elim"
@@ -297,9 +423,9 @@ class UCB1Elim(Policy):
     def __init__(self, K: int, L: int, horizon: int, rng: np.random.Generator):
         super().__init__(K, L, horizon, rng)
         n_arms = self.K * self.L
-        self._cands = list(range(n_arms))
-        self._counts = [0] * n_arms
-        self._sums = [0] * n_arms
+        self._cands = np.arange(n_arms)
+        self._counts = np.zeros(n_arms, dtype=np.int64)
+        self._sums = np.zeros(n_arms, dtype=np.int64)
         self._m = 0
         self._m_max = max(0, math.floor(0.5 * math.log2(self.horizon / math.e)))
         self._target = self.round_pull_target(self.horizon, 0)
@@ -314,12 +440,12 @@ class UCB1Elim(Policy):
 
     @property
     def remaining_arms(self) -> list[tuple[int, int]]:
-        return [(a // self.L, a % self.L) for a in self._cands]
+        return [(a // self.L, a % self.L) for a in self._cands.tolist()]
 
     def _select(self) -> tuple[int, int]:
         # invariant: outside cycling mode the pointer sits on a candidate
         # still short of the round target (rounds close eagerly in update)
-        a = self._cands[self._ptr]
+        a = int(self._cands[self._ptr])
         self._a = a
         return (a // self.L, a % self.L)
 
@@ -334,12 +460,49 @@ class UCB1Elim(Policy):
             if self._ptr == len(self._cands):
                 self._close_round()
 
+    def _plan(self, limit: int):
+        cands, ptr, n_cands = self._cands, self._ptr, len(self._cands)
+        close = False
+        if self._cycling:
+            arms = cands[(ptr + np.arange(limit)) % n_cands]
+            self._ptr = (ptr + limit) % n_cands
+        else:
+            # each candidate tops up in one run; at most ``limit`` of them
+            run_arms: list[int] = []
+            run_lens: list[int] = []
+            n = 0
+            while n < limit:
+                a = int(cands[ptr])
+                # as in _update, an arm is played at least once per visit
+                need = max(1, self._target - int(self._counts[a]))
+                take = min(need, limit - n)
+                run_arms.append(a)
+                run_lens.append(take)
+                n += take
+                if take < need:
+                    break
+                ptr += 1
+                if ptr == n_cands:
+                    close = True
+                    break
+            self._ptr = ptr
+            arms = np.repeat(np.array(run_arms, dtype=np.int64), run_lens)
+        return arms // self.L, arms % self.L, (arms, close)
+
+    def _commit(self, rows, cols, hits, state) -> None:
+        arms, close = state
+        np.add.at(self._counts, arms, 1)
+        np.add.at(self._sums, arms, hits.view(np.int8))
+        if close:
+            self._close_round()
+
     def _close_round(self) -> None:
         n_m = self._target
         radius = math.sqrt(math.log(self.horizon * 4.0 ** (-self._m)) / (2.0 * n_m))
-        means = {a: self._sums[a] / self._counts[a] for a in self._cands}
-        cutoff = max(means.values()) - radius
-        self._cands = [a for a in self._cands if means[a] + radius >= cutoff]
+        cands = self._cands
+        means = self._sums[cands] / self._counts[cands]
+        cutoff = means.max() - radius
+        self._cands = cands[means + radius >= cutoff]
         self._ptr = 0
         if self._m >= self._m_max:
             self._cycling = True

@@ -1,0 +1,300 @@
+"""The block path: ``plan``/``commit`` on the policy, ``play`` on the environment.
+
+Everything here is checked against the per-step path (``select``/``update``
+and ``Environment.step``), which is the reference: the block path must
+give the same bits, draw the same uniforms and leave the same state.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rank1bandit.harness as harness
+from rank1bandit.harness import ExperimentConfig, default_checkpoints, derive_seed, run_one
+from rank1bandit.instances import Environment, Rank1Instance, save_instance
+from rank1bandit.policies import (
+    KLUCB,
+    UCB1,
+    ProtocolError,
+    Rank1ElimKL,
+    UCB1Elim,
+    make_policy,
+)
+
+BLOCK_POLICIES = ("rank1elimkl", "rank1elim", "ucb1elim")
+# coarse means, so ties, all-zero and all-one rows and columns turn up
+MEANS = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
+mean_vectors = st.lists(st.sampled_from(MEANS), min_size=1, max_size=6)
+
+
+def policy_state(pol) -> dict:
+    """Everything a block or step can change, through public accessors."""
+    state = {"t": pol.t}
+    if hasattr(pol, "stage_log"):
+        state.update(
+            stage_log=list(pol.stage_log),
+            rows=pol.remaining_rows,
+            cols=pol.remaining_cols,
+            row_map=pol.row_map,
+            col_map=pol.col_map,
+            row_successes=pol.row_successes,
+            col_successes=pol.col_successes,
+        )
+    else:
+        state["arms"] = pol.remaining_arms
+    return state
+
+
+class TestEnvironmentPlay:
+    INST = Rank1Instance(u_bar=[0.3, 0.8, 0.5], v_bar=[0.6, 0.1])
+    # K + L = 1000, so step() draws blocks of 32 steps and plays straddle them
+    WIDE = Rank1Instance(u_bar=np.linspace(0.0, 1.0, 600), v_bar=np.linspace(0.9, 0.1, 400))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wide=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.lists(st.integers(0, 100), min_size=1, max_size=12),
+    )
+    def test_interleaved_step_and_play_match_all_step(self, wide, seed, calls):
+        # a call of length 0 is one step(); any other is one play() of that
+        # many pairs
+        inst = self.WIDE if wide else self.INST
+        arm_rng = np.random.default_rng(seed)
+        mixed = Environment(inst, np.random.default_rng(seed))
+        stepped = Environment(inst, np.random.default_rng(seed))
+        for m in calls:
+            rows = arm_rng.integers(inst.K, size=max(m, 1))
+            cols = arm_rng.integers(inst.L, size=max(m, 1))
+            want = [
+                (stepped.step(int(i), int(j)), stepped.cum_pseudo_regret,
+                 stepped.cum_stochastic_regret)
+                for i, j in zip(rows, cols)
+            ]
+            if m == 0:
+                got = [(mixed.step(int(rows[0]), int(cols[0])), mixed.cum_pseudo_regret,
+                        mixed.cum_stochastic_regret)]
+            else:
+                rewards, pseudo, stoch = mixed.play(rows, cols)
+                assert rewards.dtype == np.int8
+                got = list(zip(rewards.tolist(), pseudo.tolist(), stoch.tolist()))
+            assert got == want
+            assert (mixed.steps, mixed.cum_pseudo_regret, mixed.cum_stochastic_regret) == (
+                stepped.steps, stepped.cum_pseudo_regret, stepped.cum_stochastic_regret)
+
+    def test_reads_k_plus_l_uniforms_per_step_rows_first(self):
+        K, L = self.INST.K, self.INST.L
+        env = Environment(self.INST, np.random.default_rng(123))
+        rows = np.array([1] * 200)
+        cols = np.array([0] * 200)
+        rewards, _, _ = env.play(rows, cols)
+        z = np.random.default_rng(123).random(200 * (K + L)).reshape(200, K + L)
+        assert rewards.tolist() == ((z[:, 1] < 0.8) & (z[:, K] < 0.6)).tolist()
+
+    def test_index_out_of_range(self):
+        env = Environment(self.INST, np.random.default_rng(0))
+        with pytest.raises(IndexError):
+            env.play([0, 3], [0, 0])
+        with pytest.raises(IndexError):
+            env.play([0, 0], [0, -1])
+        with pytest.raises(ValueError):
+            env.play([0, 0], [0])
+        assert env.steps == 0
+
+    def test_empty_block(self):
+        env = Environment(self.INST, np.random.default_rng(0))
+        rewards, pseudo, stoch = env.play([], [])
+        assert rewards.size == pseudo.size == stoch.size == 0
+        assert env.steps == 0
+
+
+def zero_noise_env(u, v, seed=0):
+    return Environment(Rank1Instance(u_bar=u, v_bar=v), np.random.default_rng(seed))
+
+
+def play_block(pol, env, limit):
+    rows, cols = pol.plan(limit)
+    rewards, _, _ = env.play(rows, cols)
+    pol.commit(rows, cols, rewards)
+    return rows, cols
+
+
+class TestPlanCommitProtocol:
+    def test_only_elimination_policies_plan(self):
+        for name in BLOCK_POLICIES:
+            assert hasattr(make_policy(name, 2, 2, 10, np.random.default_rng(0)), "plan")
+        for cls in (UCB1, KLUCB):
+            assert not hasattr(cls(2, 2, 10, np.random.default_rng(0)), "plan")
+
+    def test_plan_then_select_or_plan_again(self):
+        pol = Rank1ElimKL(2, 2, 100, np.random.default_rng(0))
+        pol.plan(3)
+        with pytest.raises(ProtocolError):
+            pol.select()
+        with pytest.raises(ProtocolError):
+            pol.plan(3)
+        with pytest.raises(ProtocolError):
+            pol.update((0, 0), 1)
+
+    def test_select_then_plan(self):
+        pol = UCB1Elim(2, 2, 100, np.random.default_rng(0))
+        pol.select()
+        with pytest.raises(ProtocolError):
+            pol.plan(3)
+
+    def test_commit_without_plan(self):
+        pol = Rank1ElimKL(2, 2, 100, np.random.default_rng(0))
+        with pytest.raises(ProtocolError):
+            pol.commit(np.array([0]), np.array([0]), np.array([1]))
+
+    def test_commit_of_another_block(self):
+        pol = Rank1ElimKL(2, 2, 100, np.random.default_rng(0))
+        rows, cols = pol.plan(4)
+        with pytest.raises(ProtocolError):
+            pol.commit(rows[:-1], cols[:-1], np.zeros(3, np.int8))
+        with pytest.raises(ProtocolError):
+            pol.commit(rows, (cols + 1) % 2, np.zeros(4, np.int8))
+        with pytest.raises(ProtocolError):
+            pol.commit(rows, cols, np.zeros(3, np.int8))
+        pol.commit(rows, cols, np.zeros(4, np.int8))
+        assert pol.t == 4
+
+    def test_commit_rejects_non_binary_rewards(self):
+        pol = UCB1Elim(2, 2, 100, np.random.default_rng(0))
+        rows, cols = pol.plan(4)
+        with pytest.raises(ValueError):
+            pol.commit(rows, cols, np.array([0, 1, 2, 0]))
+        with pytest.raises(ValueError):
+            pol.commit(rows, cols, np.array([0.0, 0.5, 1.0, 0.0]))
+        pol.commit(rows, cols, np.array([0, 1, 1, 0]))
+        assert pol.t == 4
+
+    def test_plan_bad_limit_and_past_horizon(self):
+        pol = UCB1Elim(1, 1, 5, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            pol.plan(0)
+        env = zero_noise_env([1.0], [1.0])
+        # round 0 asks ceil(2 ln 5) = 4 pulls, then the horizon cuts
+        sizes = [play_block(pol, env, 100)[0].size for _ in range(2)]
+        assert sizes == [4, 1] and pol.t == 5
+        with pytest.raises(ProtocolError):
+            pol.plan(1)
+
+    def test_rank1elim_plan_stops_at_stage_boundary(self):
+        # horizon 10^4 on 2x2: stage 0 ends after 148 rounds of 4 steps
+        pol = Rank1ElimKL(2, 2, 10**4, np.random.default_rng(1))
+        env = zero_noise_env([1.0, 0.0], [1.0, 1.0], seed=2)
+        ends = []
+        while pol.stage == 0:
+            play_block(pol, env, 100)
+            ends.append(pol.t)
+        assert ends[-1] == 592 and ends[-2] == 500
+        assert pol.remaining_rows == [0]
+        rows, _ = play_block(pol, env, 10**6)
+        assert pol.t - 592 == rows.size == (590 - 148) * 3
+
+    def test_ucb1elim_plan_stops_at_round_end(self):
+        # round 0 tops both arms up to 19 pulls; the bad arm then goes
+        pol = UCB1Elim(1, 2, 10**4, np.random.default_rng(0))
+        env = zero_noise_env([1.0], [1.0, 0.0])
+        rows, cols = play_block(pol, env, 10)
+        assert cols.tolist() == [0] * 10
+        rows, cols = play_block(pol, env, 10**6)
+        assert cols.tolist() == [0] * 9 + [1] * 19
+        assert pol.remaining_arms == [(0, 0)]
+
+
+def reference_loop(name, inst, horizon, master_seed, run_index):
+    """run_one's seeds, played one select/update/step at a time."""
+    env = Environment(inst, np.random.default_rng(derive_seed(master_seed, run_index, "env")))
+    pol = make_policy(name, inst.K, inst.L, horizon,
+                      np.random.default_rng(derive_seed(master_seed, run_index, "policy")))
+    checkpoints = default_checkpoints(horizon)
+    pseudo, stoch = [], []
+    for t in range(1, horizon + 1):
+        i, j = pol.select()
+        pol.update((i, j), env.step(i, j))
+        if t in checkpoints:
+            pseudo.append(env.cum_pseudo_regret)
+            stoch.append(env.cum_stochastic_regret)
+    return pseudo, stoch, pol
+
+
+def run_one_keeping_policy(config, run_index):
+    built = []
+    original = harness.make_policy
+
+    def keeping(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    harness.make_policy = keeping
+    try:
+        trace = run_one(config, run_index)
+    finally:
+        harness.make_policy = original
+    return trace, built[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    u=mean_vectors,
+    v=mean_vectors,
+    horizon=st.integers(5, 3000),
+    name=st.sampled_from(BLOCK_POLICIES),
+    master_seed=st.integers(0, 2**63 - 1),
+    run_index=st.integers(0, 50),
+)
+def test_run_one_matches_per_step_loop(u, v, horizon, name, master_seed, run_index):
+    inst = Rank1Instance(u_bar=u, v_bar=v)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        save_instance(inst, path)
+        config = ExperimentConfig(instance=str(path), policy=name, horizon=horizon,
+                                  runs=1, master_seed=master_seed)
+        trace, pol = run_one_keeping_policy(config, run_index)
+    pseudo, stoch, ref = reference_loop(name, inst, horizon, master_seed, run_index)
+    assert trace.cum_pseudo_regret == pseudo
+    assert trace.cum_stochastic_regret == stoch
+    assert policy_state(pol) == policy_state(ref)
+    assert pol.t == horizon
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u=mean_vectors,
+    v=mean_vectors,
+    name=st.sampled_from(BLOCK_POLICIES),
+    seed=st.integers(0, 2**32 - 1),
+    moves=st.lists(st.integers(0, 300), min_size=1, max_size=40),
+)
+def test_mixed_protocols_leave_the_per_step_state(u, v, name, seed, moves):
+    # a move of 0 is one select/update; any other is a block of at most
+    # that many steps; after every move both policies must agree
+    inst = Rank1Instance(u_bar=u, v_bar=v)
+    horizon = 2000
+    mixed = make_policy(name, inst.K, inst.L, horizon, np.random.default_rng(seed))
+    ref = make_policy(name, inst.K, inst.L, horizon, np.random.default_rng(seed))
+    env_mixed = Environment(inst, np.random.default_rng(seed + 1))
+    env_ref = Environment(inst, np.random.default_rng(seed + 1))
+    for limit in moves:
+        if mixed.t >= horizon:
+            break
+        if limit == 0:
+            arms = [mixed.select()]
+            mixed.update(arms[0], env_mixed.step(*arms[0]))
+        else:
+            rows, cols = play_block(mixed, env_mixed, limit)
+            assert 1 <= rows.size <= limit
+            arms = list(zip(rows.tolist(), cols.tolist()))
+        for arm in arms:
+            assert ref.select() == arm
+            ref.update(arm, env_ref.step(*arm))
+        assert policy_state(mixed) == policy_state(ref)
+        assert env_mixed.cum_pseudo_regret == env_ref.cum_pseudo_regret

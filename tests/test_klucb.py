@@ -119,6 +119,18 @@ class TestUpperSolver:
         assert kl_ucb_upper(0.0, 10, 2.0) == pytest.approx(1.0 - math.exp(-0.2), abs=1e-12)
         assert kl_ucb_upper(0.0, 7, 1.3) == pytest.approx(1.0 - math.exp(-1.3 / 7.0), abs=1e-12)
 
+    def test_zero_estimate_with_budget_past_double_resolution(self):
+        # past delta/pulls ~ 36.74 the closed form rounds to 1, where the
+        # divergence is infinite; the bound is the largest double below 1,
+        # as the vectorized solver gives
+        below_one = float(np.nextafter(1.0, 0.0))
+        for pulls, delta in [(1, 40.0), (2, 80.0), (1, 1e3)]:
+            u = kl_ucb_upper(0.0, pulls, delta)
+            assert u == below_one
+            assert u == pytest.approx(1.0 - math.exp(-delta / pulls), abs=2**-52)
+            assert u == kl_ucb_upper_many(np.array([0.0]), np.array([float(pulls)]), delta)[0]
+        assert kl_ucb_upper(0.0, 1, 36.7) == pytest.approx(1.0 - math.exp(-36.7), abs=2**-52)
+
     def test_round_trip_interior(self):
         for mu, pulls, delta in [(0.3, 50, 2.0), (0.5, 200, 5.0), (0.9, 1000, 0.7)]:
             u = kl_ucb_upper(mu, pulls, delta)

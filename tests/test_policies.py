@@ -154,8 +154,28 @@ class TestRank1ElimKLSchedule:
         pol = Rank1ElimKL(2, 2, 10**4, np.random.default_rng(11))
         env = zero_noise_env([1.0, 0.0], [1.0, 1.0], seed=12)
         drive(pol, env, 592)
-        assert sum(pol._C_u[0]) == 148
-        assert sum(pol._C_u[1]) == 0
+        assert pol.row_successes[0] == 148
+        assert pol.row_successes[1] == 0
+
+    def test_more_successes_than_observations_raises(self):
+        # an explicit check, so it holds under python -O as well
+        pol = Rank1ElimKL(2, 2, 10**4, np.random.default_rng(11))
+        env = zero_noise_env([1.0, 0.0], [1.0, 1.0], seed=12)
+        drive(pol, env, 591)
+        pol._S_u[1] = 149  # tampered: row 1 has had 148 observations
+        with pytest.raises(ProtocolError, match="149 successes over 148"):
+            drive(pol, env, 1)
+
+    def test_column_successes_checked_on_the_block_path(self):
+        pol = Rank1ElimKL(2, 2, 10**4, np.random.default_rng(11))
+        env = zero_noise_env([1.0, 1.0], [1.0, 0.0], seed=12)
+        rows, cols = pol.plan(591)
+        pol.commit(rows, cols, env.play(rows, cols)[0])
+        pol._S_v[0] = 149
+        rows, cols = pol.plan(10)
+        assert rows.size == 1
+        with pytest.raises(ProtocolError, match="column 0 holds 149"):
+            pol.commit(rows, cols, env.play(rows, cols)[0])
 
     def test_redirection_idempotent_and_leaders_survive(self):
         inst = needle_instance(4, 4, 0.25, 0.25, 0.5, 0.5)
