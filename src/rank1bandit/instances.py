@@ -215,14 +215,15 @@ class Environment:
             self._block = self._rng.random(self.block_steps * self._span)
             buf = self._buf = self._block.tolist()
             pos = 0
-        u, v = self._u, self._v
-        reward = 1 if (buf[pos + i] < u[i] and buf[pos + K + j] < v[j]) else 0
+        u_i = buf[pos + i] < self._u[i]
+        v_j = buf[pos + K + j] < self._v[j]
+        reward = 1 if (u_i and v_j) else 0
         br, bc = self._best_row, self._best_col
-        if (buf[pos + br] < u[br]) and (buf[pos + K + bc] < v[bc]):
+        if (buf[pos + br] < self._u[br]) and (buf[pos + K + bc] < self._v[bc]):
             self.cum_stochastic_regret += 1 - reward
         else:
             self.cum_stochastic_regret -= reward
-        self.cum_pseudo_regret += self._best_value - u[i] * v[j]
+        self.cum_pseudo_regret += self._best_value - self._u[i] * self._v[j]
         self._pos = pos + self._span
         self.steps += 1
         return reward

@@ -135,7 +135,7 @@ class BlockPolicy(Policy):
         if rewards.shape != plan.rows.shape:
             raise ProtocolError(
                 f"{rewards.size} rewards for a block of {plan.rows.size} arms")
-        if rewards.dtype != np.bool_ and ((rewards != 0) & (rewards != 1)).any():
+        if ((rewards != 0) & (rewards != 1)).any():
             raise ValueError("rewards must be 0 or 1")
         self._pending = None
         self.t += plan.rows.size
