@@ -111,7 +111,8 @@ class BlockPolicy(Policy):
     arrays, never past the next stage or round boundary nor past the
     horizon; ``commit(rows, cols, rewards)`` then folds their rewards in.
     Subclasses implement ``_plan(limit) -> (rows, cols, state)`` and
-    ``_commit(rows, cols, rewards, state)``.
+    ``_commit(rows, cols, hits, state)``, ``hits`` being the rewards as
+    a bool array.
     """
 
     def plan(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
