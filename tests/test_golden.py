@@ -17,22 +17,33 @@ the slow flat KL policy), two runs each, which crosses two stage
 boundaries of the elimination policies; plus edge cells with K=1 and
 L=1 (horizon 2000, 500 for the flat KL policy), a horizon shorter than one elimination round, and a horizon that ends
 exactly on a stage boundary (needle 4x4 at n = 872 = 8 * ceil(16 ln 872)).
+
+``tests/golden/klucb.json`` freezes the KL solver the same way: the
+SHA-256 of ``float.hex`` of every output of ``kl_ucb_upper``,
+``kl_ucb_lower`` and ``kl_ucb_upper_many`` over a grid that holds the
+degenerate means 0 and 1, a zero budget, budgets past delta/pulls =
+36.74 (where the upper bound of mean 0 rounds to 1) and the stage-0
+means S/188 of a run at horizon 120,000.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rank1bandit.harness as harness
 from rank1bandit.harness import ExperimentConfig, run_many, write_trace_csv
+from rank1bandit.klucb import kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
 from rank1bandit.policies import POLICIES
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "traces.json"
+KL_GOLDEN = GOLDEN.parent / "klucb.json"
 MASTER_SEED = 2017
 
 NEEDLE4 = "needle:K=4,L=4,p=0.25,gap=0.5"
@@ -107,6 +118,39 @@ def test_golden_trace(cell, tmp_path):
     assert got["csv_sha256"] == want["csv_sha256"]
 
 
+def _kl_grid() -> tuple[list[float], list[int], list[float]]:
+    log_n = math.log(120_000)  # stage 0 then observes ceil(16 ln n) = 188 times
+    mus = [0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0**-53]
+    mus += [s / 188 for s in range(189)]
+    mus += np.random.default_rng(2017).random(300).tolist()
+    pulls = [1, 3, 188, 752, 5000]
+    # 40 and 200,001 put delta / pulls past 36.74 for every count
+    deltas = [0.0, 0.3, log_n + 3.0 * math.log(log_n), 19.4, 40.0, 200_001.0]
+    return mus, pulls, deltas
+
+
+def _hex_digest(values) -> str:
+    return hashlib.sha256("\n".join(float.hex(float(x)) for x in values).encode()).hexdigest()
+
+
+def kl_digests() -> dict:
+    """Digests of the three solvers over the grid, deltas outermost."""
+    mus, pulls, deltas = _kl_grid()
+    out = {
+        name: _hex_digest(solve(m, n, d) for d in deltas for n in pulls for m in mus)
+        for name, solve in (("kl_ucb_upper", kl_ucb_upper), ("kl_ucb_lower", kl_ucb_lower))
+    }
+    mu_col = np.tile(mus, len(pulls))
+    n_col = np.repeat(np.array(pulls, dtype=float), len(mus))
+    out["kl_ucb_upper_many"] = _hex_digest(
+        x for d in deltas for x in kl_ucb_upper_many(mu_col, n_col, d).tolist())
+    return out
+
+
+def test_kl_solver_bits():
+    assert kl_digests() == json.loads(KL_GOLDEN.read_text(encoding="utf-8"))
+
+
 def _write() -> None:
     import tempfile
 
@@ -117,6 +161,8 @@ def _write() -> None:
             print(_cell_id(cell), fixtures[_cell_id(cell)]["csv_sha256"][:16], file=sys.stderr)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(fixtures, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    KL_GOLDEN.write_text(json.dumps(kl_digests(), indent=1, sort_keys=True) + "\n",
+                         encoding="utf-8")
 
 
 if __name__ == "__main__":
