@@ -24,9 +24,7 @@ from rank1bandit.instances import (
     Environment,
     HardnessMetrics,
     Rank1Instance,
-    StepOutcome,
     compute_metrics,
-    env_step,
     load_instance,
     needle_instance,
     parse_instance_spec,
@@ -53,7 +51,6 @@ __all__ = [
     "kl_ucb_upper",
     "kl_ucb_upper_many",
     "Rank1Instance",
-    "StepOutcome",
     "HardnessMetrics",
     "Environment",
     "needle_instance",
@@ -62,7 +59,6 @@ __all__ = [
     "save_instance",
     "parse_instance_spec",
     "compute_metrics",
-    "env_step",
     "Rank1ElimKL",
     "Rank1Elim",
     "UCB1",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -27,6 +28,7 @@ import numpy as np
 from rank1bandit.instances import (
     Environment,
     HardnessMetrics,
+    _open_replacing,
     compute_metrics,
     parse_instance_spec,
 )
@@ -89,6 +91,13 @@ def default_checkpoints(horizon: int) -> list[int]:
     return pts
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer of any type but bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce an experiment.
@@ -112,16 +121,15 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown policy {self.policy!r}; expected one of {sorted(POLICIES)}"
             )
-        if not isinstance(self.horizon, int) or self.horizon < 5:
+        self.horizon = _integer(self.horizon, "horizon")
+        if self.horizon < 5:
             raise ValueError("horizon must be an integer of at least 5")
-        if not isinstance(self.runs, int) or self.runs < 1:
+        self.runs = _integer(self.runs, "runs")
+        if self.runs < 1:
             raise ValueError("runs must be a positive integer")
-        if not isinstance(self.master_seed, int):
-            raise ValueError("master_seed must be an integer")
+        self.master_seed = _integer(self.master_seed, "master_seed")
         if self.checkpoints is not None:
-            cps = list(self.checkpoints)
-            if any(not isinstance(c, int) for c in cps):
-                raise ValueError("checkpoints must be integers")
+            cps = [_integer(c, "each checkpoint") for c in self.checkpoints]
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ValueError("checkpoints must be strictly increasing")
             if cps and (cps[0] < 1 or cps[-1] > self.horizon):
@@ -300,8 +308,11 @@ _CSV_HEADER = (
 
 
 def write_trace_csv(result: AggregateResult, path) -> None:
-    """Write an aggregate result as CSV; floats keep full double precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write an aggregate result as CSV; floats keep full double precision.
+
+    The file is replaced in one step: a failed write leaves it as it was.
+    """
+    with _open_replacing(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(_CSV_HEADER)
         rows = zip(

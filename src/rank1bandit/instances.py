@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,13 +43,6 @@ class Rank1Instance:
     @property
     def L(self) -> int:
         return self.v_bar.size
-
-
-@dataclass
-class StepOutcome:
-    reward: int
-    pseudo_regret: float
-    stochastic_regret: float
 
 
 @dataclass
@@ -91,15 +86,11 @@ def needle_instance(
     return Rank1Instance(u_bar=u, v_bar=v)
 
 
-def pbm_like_instance(
-    K: int, L: int, head_mass: float, decay: float, seed: int | None = None
-) -> Rank1Instance:
+def pbm_like_instance(K: int, L: int, head_mass: float, decay: float) -> Rank1Instance:
     """Geometric-decay means head_mass * decay^(i-1), clipped to [0, 1].
 
     Both vectors use the same scheme, giving a click-model-like profile
-    with a few strong entries and a long weak tail.  The result is fully
-    determined by the shape arguments; ``seed`` is accepted only so
-    generator specs can carry one uniformly.
+    with a few strong entries and a long weak tail.
     """
     for name, dim in (("K", K), ("L", L)):
         if int(dim) != dim or dim < 1:
@@ -138,43 +129,17 @@ def compute_metrics(inst: Rank1Instance) -> HardnessMetrics:
     )
 
 
-def env_step(inst: Rank1Instance, i: int, j: int, rng: np.random.Generator) -> StepOutcome:
-    """Play pair (i, j) for one step and report reward and regrets.
-
-    Consumes exactly K + L uniform draws from ``rng`` in a fixed order
-    (row coordinates first, then column coordinates), realizing the full
-    Bernoulli vectors u_t and v_t.  The stochastic regret compares the
-    played pair against the best pair on the same draws; the pseudo
-    regret compares expected values.
-    """
-    K, L = inst.K, inst.L
-    if not 0 <= i < K:
-        raise IndexError(f"row index {i} outside [0, {K})")
-    if not 0 <= j < L:
-        raise IndexError(f"column index {j} outside [0, {L})")
-    z = rng.random(K + L)
-    u_t = z[:K] < inst.u_bar
-    v_t = z[K:] < inst.v_bar
-    best_row = int(np.argmax(inst.u_bar))
-    best_col = int(np.argmax(inst.v_bar))
-    reward = int(u_t[i] and v_t[j])
-    best_reward = int(u_t[best_row] and v_t[best_col])
-    pseudo = float(inst.u_bar[best_row] * inst.v_bar[best_col] - inst.u_bar[i] * inst.v_bar[j])
-    return StepOutcome(
-        reward=reward,
-        pseudo_regret=pseudo,
-        stochastic_regret=float(best_reward - reward),
-    )
-
-
 class Environment:
-    """Stateful wrapper around ``env_step`` for long simulation loops.
+    """Plays pairs of an instance and accumulates the regrets.
 
-    Pre-draws uniforms in blocks (the batched stream is identical to the
-    per-step stream) and evaluates only the coordinates a step actually
-    touches, which keeps the per-step cost flat while preserving the
-    exact K + L draws-per-step accounting.  Accumulates both regret
-    notions so the run loop can read them at checkpoints.
+    Every step consumes exactly K + L uniform draws from ``rng`` in a
+    fixed order (row coordinates first, then column coordinates),
+    realizing the full Bernoulli vectors u_t and v_t; the reward of pair
+    (i, j) is u_t[i] * v_t[j].  The stochastic regret compares the
+    played pair against the best pair on the same draws; the pseudo
+    regret compares expected values.  Uniforms are pre-drawn in blocks
+    (the batched stream is identical to the per-step stream) and only
+    the coordinates a step touches are read.
 
     ``step`` plays one pair; ``play`` scores a whole block of pairs in
     numpy from an (m, K + L) slab of the same stream.  The two can be
@@ -280,10 +245,26 @@ class Environment:
         return np.concatenate((block[pos:], fresh)) if avail else fresh
 
 
+@contextmanager
+def _open_replacing(path):
+    """A text file beside ``path`` that replaces it once the block ends;
+    if the block raises, the file is removed and ``path`` left as it was."""
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def save_instance(inst: Rank1Instance, path) -> None:
-    """Write an instance as a JSON object {"u": [...], "v": [...]}."""
+    """Write an instance as a JSON object {"u": [...], "v": [...]}, replacing
+    the file in one step."""
     payload = {"u": [float(x) for x in inst.u_bar], "v": [float(x) for x in inst.v_bar]}
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_replacing(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
@@ -312,7 +293,7 @@ def load_instance(path) -> Rank1Instance:
 
 
 _NEEDLE_KEYS = {"K", "L", "p", "gap", "p_u", "p_v", "delta_u", "delta_v"}
-_PBM_KEYS = {"K", "L", "head_mass", "decay", "seed"}
+_PBM_KEYS = {"K", "L", "head_mass", "decay"}
 
 
 def _parse_kv(body: str, allowed: set[str], kind: str) -> dict[str, str]:
@@ -328,22 +309,14 @@ def _parse_kv(body: str, allowed: set[str], kind: str) -> dict[str, str]:
     return out
 
 
-def _need_int(kv: dict[str, str], key: str, kind: str) -> int:
+def _need(kv: dict[str, str], key: str, kind: str, cast: type):
+    label, what = ("int", "an integer") if cast is int else ("number", "a number")
     if key not in kv:
-        raise ValueError(f"{kind} spec requires {key}=<int>")
+        raise ValueError(f"{kind} spec requires {key}=<{label}>")
     try:
-        return int(kv[key])
+        return cast(kv[key])
     except ValueError as exc:
-        raise ValueError(f"{kind} spec: {key} must be an integer, got {kv[key]!r}") from exc
-
-
-def _need_float(kv: dict[str, str], key: str, kind: str) -> float:
-    if key not in kv:
-        raise ValueError(f"{kind} spec requires {key}=<number>")
-    try:
-        return float(kv[key])
-    except ValueError as exc:
-        raise ValueError(f"{kind} spec: {key} must be a number, got {kv[key]!r}") from exc
+        raise ValueError(f"{kind} spec: {key} must be {what}, got {kv[key]!r}") from exc
 
 
 def parse_instance_spec(spec: str) -> Rank1Instance:
@@ -363,21 +336,19 @@ def parse_instance_spec(spec: str) -> Rank1Instance:
             kv.setdefault("delta_u", kv["gap"])
             kv.setdefault("delta_v", kv["gap"])
         return needle_instance(
-            _need_int(kv, "K", "needle"),
-            _need_int(kv, "L", "needle"),
-            _need_float(kv, "p_u", "needle"),
-            _need_float(kv, "p_v", "needle"),
-            _need_float(kv, "delta_u", "needle"),
-            _need_float(kv, "delta_v", "needle"),
+            _need(kv, "K", "needle", int),
+            _need(kv, "L", "needle", int),
+            _need(kv, "p_u", "needle", float),
+            _need(kv, "p_v", "needle", float),
+            _need(kv, "delta_u", "needle", float),
+            _need(kv, "delta_v", "needle", float),
         )
     if spec.startswith("pbm-like:"):
         kv = _parse_kv(spec[len("pbm-like:"):], _PBM_KEYS, "pbm-like")
-        seed = _need_int(kv, "seed", "pbm-like") if "seed" in kv else None
         return pbm_like_instance(
-            _need_int(kv, "K", "pbm-like"),
-            _need_int(kv, "L", "pbm-like"),
-            _need_float(kv, "head_mass", "pbm-like"),
-            _need_float(kv, "decay", "pbm-like"),
-            seed=seed,
+            _need(kv, "K", "pbm-like", int),
+            _need(kv, "L", "pbm-like", int),
+            _need(kv, "head_mass", "pbm-like", float),
+            _need(kv, "decay", "pbm-like", float),
         )
     return load_instance(spec)

@@ -52,7 +52,9 @@ def kl_div(p: float, q: float) -> float:
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
 
-def _check_solver_args(mu_hat: float, pulls: float, delta: float) -> tuple[float, float, float]:
+def _invert(mu_hat: float, pulls: float, delta: float, end: float) -> float:
+    """The q farthest from mu_hat toward ``end`` (1.0 for the upper bound,
+    0.0 for the lower) with pulls * d(mu_hat, q) <= delta."""
     mu_hat = _check_unit(mu_hat, "mu_hat")
     pulls = float(pulls)
     if not (math.isfinite(pulls) and pulls >= 1.0):
@@ -60,7 +62,29 @@ def _check_solver_args(mu_hat: float, pulls: float, delta: float) -> tuple[float
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
-    return mu_hat, pulls, delta
+    if delta == 0.0 or mu_hat == end:
+        return mu_hat
+    log, inf = math.log, math.inf
+    interior = 0.0 < mu_hat < 1.0
+    if interior:
+        base = mu_hat * log(mu_hat) + (1.0 - mu_hat) * log(1.0 - mu_hat)
+
+    def div(q: float) -> float:
+        # d(mu_hat, q), taken as +inf at q = 0 or 1
+        if not 0.0 < q < 1.0:
+            return inf
+        if interior:
+            return base - mu_hat * log(q) - (1.0 - mu_hat) * log(1.0 - q)
+        return -math.log1p(-q) if mu_hat == 0.0 else -log(q)
+
+    near, far = mu_hat, end
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (near + far)
+        if pulls * div(mid) <= delta:
+            near = mid
+        else:
+            far = mid
+    return near
 
 
 def kl_ucb_upper(mu_hat: float, pulls: float, delta: float) -> float:
@@ -69,30 +93,7 @@ def kl_ucb_upper(mu_hat: float, pulls: float, delta: float) -> float:
     For mu_hat = 0 this is 1 - exp(-delta/pulls), or the largest double
     below 1 once that rounds to 1; for mu_hat = 1 it is 1.
     """
-    mu_hat, pulls, delta = _check_solver_args(mu_hat, pulls, delta)
-    if delta == 0.0 or mu_hat == 1.0:
-        return mu_hat
-    log = math.log
-    if mu_hat == 0.0:
-        def dq(q: float) -> float:
-            return math.inf if q >= 1.0 else -math.log1p(-q)
-    else:
-        base = mu_hat * log(mu_hat) + (1.0 - mu_hat) * log(1.0 - mu_hat)
-
-        def dq(q: float) -> float:
-            one_q = 1.0 - q
-            if q <= 0.0 or one_q <= 0.0:
-                return math.inf
-            return base - mu_hat * log(q) - (1.0 - mu_hat) * log(one_q)
-
-    lo, hi = mu_hat, 1.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if pulls * dq(mid) <= delta:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _invert(mu_hat, pulls, delta, 1.0)
 
 
 def kl_ucb_lower(mu_hat: float, pulls: float, delta: float) -> float:
@@ -100,30 +101,7 @@ def kl_ucb_lower(mu_hat: float, pulls: float, delta: float) -> float:
 
     For mu_hat = 1 this is exp(-delta/pulls); for mu_hat = 0 it is 0.
     """
-    mu_hat, pulls, delta = _check_solver_args(mu_hat, pulls, delta)
-    if delta == 0.0 or mu_hat == 0.0:
-        return mu_hat
-    log = math.log
-    if mu_hat == 1.0:
-        def dq(q: float) -> float:
-            return math.inf if q <= 0.0 else -log(q)
-    else:
-        base = mu_hat * log(mu_hat) + (1.0 - mu_hat) * log(1.0 - mu_hat)
-
-        def dq(q: float) -> float:
-            one_q = 1.0 - q
-            if q <= 0.0 or one_q <= 0.0:
-                return math.inf
-            return base - mu_hat * log(q) - (1.0 - mu_hat) * log(one_q)
-
-    lo, hi = 0.0, mu_hat
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if pulls * dq(mid) <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _invert(mu_hat, pulls, delta, 0.0)
 
 
 def kl_ucb_upper_many(mu_hat: np.ndarray, pulls: np.ndarray, delta: float) -> np.ndarray:

@@ -194,7 +194,6 @@ class Rank1ElimKL(BlockPolicy):
         self._rows = list(range(self.K))
         self._cols = list(range(self.L))
         self._stage = 0
-        self._n_prev = 0
         self._n_target = math.ceil(16.0 * log_n)
         self._rounds_left = self._n_target
         self.stage_log: list[StageRecord] = []
@@ -349,9 +348,8 @@ class Rank1ElimKL(BlockPolicy):
             )
         )
         self._stage += 1
-        self._n_prev = n_obs
         self._n_target = math.ceil(16.0 * 4.0**self._stage * self._log_n)
-        self._rounds_left = self._n_target - self._n_prev
+        self._rounds_left = self._n_target - n_obs
 
 
 class Rank1Elim(Rank1ElimKL):
@@ -390,13 +388,14 @@ class UCB1(Policy):
 
     def _select(self) -> tuple[int, int]:
         t = self.t
-        if t < self._n_arms:
-            a = t
-        else:
-            width = math.sqrt(2.0 * math.log(t + 1))
-            a = int(np.argmax(self._means + width * self._inv_sqrt))
+        a = t if t < self._n_arms else int(np.argmax(self._index(t)))
         self._a = a
         return (a // self.L, a % self.L)
+
+    def _index(self, t: int) -> np.ndarray:
+        """Every arm's index at step t + 1, once each arm has been played."""
+        width = math.sqrt(2.0 * math.log(t + 1))
+        return self._means + width * self._inv_sqrt
 
     def _update(self, i: int, j: int, reward: int) -> None:
         a = self._a
@@ -512,42 +511,22 @@ class UCB1Elim(BlockPolicy):
         self._target = self.round_pull_target(self.horizon, self._m)
 
 
-class KLUCB(Policy):
+class KLUCB(UCB1):
     """Flat divergence-based index policy over all K*L pairs.
 
-    Anytime variant: after the initial sweep the arm with the largest
-    upper confidence bound at divergence budget ln(t) + 3*ln(ln(t))
-    (clamped at zero) is played.  Every step re-solves one bound per
-    arm, so this baseline costs far more per step than the others.
+    UCB1 with another index: after the same initial sweep the arm with
+    the largest upper confidence bound at divergence budget
+    ln(t) + 3*ln(ln(t)) (clamped at zero) is played.  Every step
+    re-solves one bound per arm, so this baseline costs far more per
+    step than the others.
     """
 
     name = "klucb"
 
-    def __init__(self, K: int, L: int, horizon: int, rng: np.random.Generator):
-        super().__init__(K, L, horizon, rng)
-        n_arms = self.K * self.L
-        self._n_arms = n_arms
-        self._counts = np.zeros(n_arms)
-        self._sums = np.zeros(n_arms)
-        self._a = -1
-
-    def _select(self) -> tuple[int, int]:
-        t = self.t
-        if t < self._n_arms:
-            a = t
-        else:
-            t_now = t + 1
-            log_t = math.log(t_now)
-            budget = log_t + 3.0 * max(0.0, math.log(log_t))
-            indices = kl_ucb_upper_many(self._sums / self._counts, self._counts, budget)
-            a = int(np.argmax(indices))
-        self._a = a
-        return (a // self.L, a % self.L)
-
-    def _update(self, i: int, j: int, reward: int) -> None:
-        a = self._a
-        self._counts[a] += 1.0
-        self._sums[a] += reward
+    def _index(self, t: int) -> np.ndarray:
+        log_t = math.log(t + 1)
+        budget = log_t + 3.0 * max(0.0, math.log(log_t))
+        return kl_ucb_upper_many(self._means, self._counts, budget)
 
 
 POLICIES: dict[str, type[Policy]] = {

@@ -110,6 +110,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**{**good, "checkpoints": [3, 101]})
 
+    def test_integer_fields(self):
+        # any integer type is accepted and stored as int; bool is no count
+        good = dict(instance="needle:K=2,L=2,p=0.25,gap=0.5", policy="ucb1", horizon=100)
+        cfg = ExperimentConfig(**{**good, "horizon": np.int64(10), "runs": np.int32(2),
+                                  "master_seed": np.uint64(7),
+                                  "checkpoints": [np.int64(3), 10]})
+        assert (cfg.horizon, cfg.runs, cfg.master_seed, cfg.checkpoints) == (10, 2, 7, [3, 10])
+        assert all(type(x) is int for x in (cfg.horizon, cfg.runs, cfg.master_seed,
+                                            *cfg.checkpoints))
+        for field, bad in (("runs", True), ("master_seed", False), ("horizon", 10.0),
+                           ("checkpoints", [True, 5]), ("runs", np.bool_(True))):
+            with pytest.raises(ValueError, match="integer"):
+                ExperimentConfig(**{**good, field: bad})
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -275,6 +289,23 @@ class TestCsv:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first == ("step,mean_pseudo_regret,stderr_pseudo_regret,"
                          "mean_stochastic_regret,stderr_stochastic_regret")
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        res = run_many(small_config())
+        path = tmp_path / "out.csv"
+        write_trace_csv(res, path)
+        before = path.read_bytes()
+
+        class Unwritable(float):
+            def __format__(self, spec):
+                raise RuntimeError("write failed")
+
+        broken = run_many(small_config(master_seed=12))
+        broken.mean_pseudo_regret[2] = Unwritable()
+        with pytest.raises(RuntimeError, match="write failed"):
+            write_trace_csv(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_empty_checkpoints_header_only(self, tmp_path):
         res = run_many(small_config(checkpoints=[]))

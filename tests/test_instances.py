@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,13 +20,57 @@ from rank1bandit.instances import (
     Environment,
     Rank1Instance,
     compute_metrics,
-    env_step,
     load_instance,
     needle_instance,
     parse_instance_spec,
     pbm_like_instance,
     save_instance,
 )
+
+
+@dataclass
+class StepOutcome:
+    reward: int
+    pseudo_regret: float
+    stochastic_regret: float
+
+
+def env_step(inst: Rank1Instance, i: int, j: int, rng: np.random.Generator) -> StepOutcome:
+    """Scalar oracle of one step, written from the draw contract alone.
+
+    Draws K + L uniforms from ``rng`` (row coordinates first), realizes
+    the Bernoulli vectors u_t and v_t, and compares the played pair with
+    the best pair on the same draws (stochastic regret) and in
+    expectation (pseudo regret).
+    """
+    K, L = inst.K, inst.L
+    assert 0 <= i < K and 0 <= j < L
+    z = rng.random(K + L)
+    u_t = z[:K] < inst.u_bar
+    v_t = z[K:] < inst.v_bar
+    best_row = int(np.argmax(inst.u_bar))
+    best_col = int(np.argmax(inst.v_bar))
+    reward = int(u_t[i] and v_t[j])
+    best_reward = int(u_t[best_row] and v_t[best_col])
+    pseudo = float(inst.u_bar[best_row] * inst.v_bar[best_col] - inst.u_bar[i] * inst.v_bar[j])
+    return StepOutcome(
+        reward=reward,
+        pseudo_regret=pseudo,
+        stochastic_regret=float(best_reward - reward),
+    )
+
+
+def env_steps(inst: Rank1Instance, arms, seed: int) -> list[StepOutcome]:
+    """``Environment.step`` over ``arms``, each step's regrets read as the
+    change of the environment's running sums."""
+    env = Environment(inst, np.random.default_rng(seed))
+    outs = []
+    for i, j in arms:
+        pseudo, stoch = env.cum_pseudo_regret, env.cum_stochastic_regret
+        reward = env.step(i, j)
+        outs.append(StepOutcome(reward, env.cum_pseudo_regret - pseudo,
+                                env.cum_stochastic_regret - stoch))
+    return outs
 
 
 class TestRank1Instance:
@@ -80,8 +125,8 @@ class TestGenerators:
             pbm_like_instance(3, 3, head_mass=-0.2, decay=0.5)
 
     def test_geometric_deterministic(self):
-        a = pbm_like_instance(5, 4, head_mass=0.7, decay=0.6, seed=1)
-        b = pbm_like_instance(5, 4, head_mass=0.7, decay=0.6, seed=99)
+        a = pbm_like_instance(5, 4, head_mass=0.7, decay=0.6)
+        b = pbm_like_instance(5, 4, head_mass=0.7, decay=0.6)
         np.testing.assert_array_equal(a.u_bar, b.u_bar)
         np.testing.assert_array_equal(a.v_bar, b.v_bar)
 
@@ -153,6 +198,21 @@ class TestFileFormat:
         np.testing.assert_array_equal(back.u_bar, inst.u_bar)
         np.testing.assert_array_equal(back.v_bar, inst.v_bar)
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "inst.json"
+        save_instance(needle_instance(4, 2, 0.25, 0.3, 0.5, 0.2), path)
+        before = path.read_bytes()
+
+        def half_dump(obj, fh):
+            fh.write('{"u": [0.5, ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", half_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_instance(needle_instance(3, 3, 0.25, 0.25, 0.5, 0.5), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_instance(tmp_path / "nope.json")
@@ -198,6 +258,11 @@ class TestInstanceSpec:
         inst = parse_instance_spec("pbm-like:K=3,L=3,head_mass=0.8,decay=0.5")
         np.testing.assert_allclose(inst.u_bar, [0.8, 0.4, 0.2])
 
+    def test_pbm_spec_has_no_seed_key(self):
+        # the profile is fixed by its shape; a seed would do nothing
+        with pytest.raises(ValueError, match="seed"):
+            parse_instance_spec("pbm-like:K=3,L=3,head_mass=0.8,decay=0.5,seed=1")
+
     def test_path_spec(self, tmp_path):
         inst = needle_instance(2, 2, 0.25, 0.25, 0.5, 0.5)
         path = tmp_path / "i.json"
@@ -213,11 +278,11 @@ class TestInstanceSpec:
 
 
 class TestEnvStep:
+    """``Environment.step`` one pair at a time."""
+
     def test_deterministic_instance(self):
         inst = Rank1Instance(u_bar=[1.0], v_bar=[1.0])
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            out = env_step(inst, 0, 0, rng)
+        for out in env_steps(inst, [(0, 0)] * 5, seed=0):
             assert out.reward == 1
             assert out.pseudo_regret == 0.0
             assert out.stochastic_regret == 0.0
@@ -227,8 +292,7 @@ class TestEnvStep:
         # step t uses draws [t*(K+L), t*(K+L)+K) for rows, then L for columns
         inst = Rank1Instance(u_bar=[0.3, 0.8, 0.5], v_bar=[0.6, 0.1])
         K, L = inst.K, inst.L
-        rng = np.random.default_rng(123)
-        outs = [env_step(inst, 1, 0, rng) for _ in range(200)]
+        outs = env_steps(inst, [(1, 0)] * 200, seed=123)
         z = np.random.default_rng(123).random(200 * (K + L))
         for t, out in enumerate(outs):
             base = t * (K + L)
@@ -238,38 +302,33 @@ class TestEnvStep:
 
     def test_stochastic_regret_uses_shared_draws(self):
         inst = Rank1Instance(u_bar=[0.9, 0.2], v_bar=[0.8, 0.3])
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            out = env_step(inst, 1, 1, rng)
+        for out in env_steps(inst, [(1, 1)] * 300, seed=7):
             assert out.stochastic_regret in (-1.0, 0.0, 1.0)
-            # playing the best pair gives zero stochastic regret by definition
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            out = env_step(inst, 0, 0, rng)
+        # playing the best pair gives zero stochastic regret by definition
+        for out in env_steps(inst, [(0, 0)] * 50, seed=7):
             assert out.stochastic_regret == 0.0
 
     def test_pseudo_regret_value(self):
         inst = needle_instance(8, 8, 0.25, 0.25, 0.5, 0.5)
-        rng = np.random.default_rng(1)
-        out = env_step(inst, 1, 1, rng)
+        (out,) = env_steps(inst, [(1, 1)], seed=1)
         assert out.pseudo_regret == pytest.approx(0.5, abs=1e-15)
 
     def test_mean_reward_matches_product(self):
         inst = needle_instance(2, 2, 0.3, 0.4, 0.2, 0.1)
-        rng = np.random.default_rng(5)
+        env = Environment(inst, np.random.default_rng(5))
         n = 100_000
-        total = sum(env_step(inst, 0, 1, rng).reward for _ in range(n))
+        total = sum(env.step(0, 1) for _ in range(n))
         expect = 0.5 * 0.4
         sigma = math.sqrt(expect * (1 - expect) / n)
         assert abs(total / n - expect) < 4 * sigma
 
     def test_index_out_of_range(self):
-        inst = Rank1Instance(u_bar=[0.5], v_bar=[0.5])
-        rng = np.random.default_rng(0)
+        env = Environment(Rank1Instance(u_bar=[0.5], v_bar=[0.5]), np.random.default_rng(0))
         with pytest.raises(IndexError):
-            env_step(inst, 1, 0, rng)
+            env.step(1, 0)
         with pytest.raises(IndexError):
-            env_step(inst, 0, -1, rng)
+            env.step(0, -1)
+        assert env.steps == 0
 
 
 class TestEnvironment:
@@ -281,10 +340,9 @@ class TestEnvironment:
         rng = np.random.default_rng(42)
         outs = [env_step(inst, i, j, rng) for i, j in arms]
         assert rewards == [o.reward for o in outs]
-        assert env.cum_pseudo_regret == pytest.approx(sum(o.pseudo_regret for o in outs))
-        assert env.cum_stochastic_regret == pytest.approx(
-            sum(o.stochastic_regret for o in outs)
-        )
+        # the same gaps summed in the same order: equal to the last bit
+        assert env.cum_pseudo_regret == sum(o.pseudo_regret for o in outs)
+        assert env.cum_stochastic_regret == sum(o.stochastic_regret for o in outs)
 
     def test_counts_steps(self):
         env = Environment(Rank1Instance(u_bar=[0.5], v_bar=[0.5]), np.random.default_rng(0))

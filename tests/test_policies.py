@@ -22,6 +22,9 @@ Frozen oracle values, derived by hand before implementation:
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +179,18 @@ class TestRank1ElimKLSchedule:
         assert rows.size == 1
         with pytest.raises(ProtocolError, match="column 0 holds 149"):
             pol.commit(rows, cols, env.play(rows, cols)[0])
+
+    def test_success_checks_hold_under_python_O(self):
+        # python -O strips assert statements: the two tamper tests above
+        # must still pass there
+        here = Path(__file__).resolve()
+        tests = [f"{here}::TestRank1ElimKLSchedule::{name}" for name in (
+            "test_more_successes_than_observations_raises",
+            "test_column_successes_checked_on_the_block_path")]
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=here.parent.parent, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0 and "2 passed" in done.stdout, done.stdout + done.stderr
 
     def test_redirection_idempotent_and_leaders_survive(self):
         inst = needle_instance(4, 4, 0.25, 0.25, 0.5, 0.5)
