@@ -64,23 +64,24 @@ def _invert(mu_hat: float, pulls: float, delta: float, end: float) -> float:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     if delta == 0.0 or mu_hat == end:
         return mu_hat
-    log, inf = math.log, math.inf
+    log = math.log
     interior = 0.0 < mu_hat < 1.0
     if interior:
-        base = mu_hat * log(mu_hat) + (1.0 - mu_hat) * log(1.0 - mu_hat)
+        one_mu = 1.0 - mu_hat
+        base = mu_hat * log(mu_hat) + one_mu * log(one_mu)
 
     def div(q: float) -> float:
-        # d(mu_hat, q), taken as +inf at q = 0 or 1
-        if not 0.0 < q < 1.0:
-            return inf
+        # d(mu_hat, q) for 0 < q < 1
         if interior:
-            return base - mu_hat * log(q) - (1.0 - mu_hat) * log(1.0 - q)
+            return base - mu_hat * log(q) - one_mu * log(1.0 - q)
         return -math.log1p(-q) if mu_hat == 0.0 else -log(q)
 
     near, far = mu_hat, end
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (near + far)
-        if pulls * div(mid) <= delta:
+        # q = 0 or 1 is infeasible: d is infinite there, or q is mu_hat
+        # itself and near already stands on it
+        if 0.0 < mid < 1.0 and pulls * div(mid) <= delta:
             near = mid
         else:
             far = mid
