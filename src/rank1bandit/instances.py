@@ -305,6 +305,8 @@ def _parse_kv(body: str, allowed: set[str], kind: str) -> dict[str, str]:
         key = key.strip()
         if key not in allowed:
             raise ValueError(f"unknown {kind} spec key {key!r} (allowed: {sorted(allowed)})")
+        if key in out:
+            raise ValueError(f"{kind} spec repeats key {key!r}")
         out[key] = value.strip()
     return out
 
@@ -323,9 +325,9 @@ def parse_instance_spec(spec: str) -> Rank1Instance:
     """Build an instance from an inline generator spec or a file path.
 
     Formats: ``needle:K=8,L=8,p=0.25,gap=0.5`` (p/gap may be split into
-    p_u/p_v and delta_u/delta_v), ``pbm-like:K=16,L=16,head_mass=0.85,
-    decay=0.6``, or anything else is treated as a path to an instance
-    file.
+    p_u/p_v and delta_u/delta_v, which override them for their side),
+    ``pbm-like:K=16,L=16,head_mass=0.85,decay=0.6``, or anything else is
+    treated as a path to an instance file.  A key may appear only once.
     """
     if spec.startswith("needle:"):
         kv = _parse_kv(spec[len("needle:"):], _NEEDLE_KEYS, "needle")

@@ -164,20 +164,24 @@ class Rank1ElimKL(BlockPolicy):
     """Stagewise elimination on rows and columns with divergence intervals.
 
     Stage targets grow as ceil(16 * 4^stage * ln(horizon)) observations
-    per surviving row and column.  Each round samples one column through
-    the column redirection map and plays it against every surviving row,
-    then samples one row and plays it against every surviving column.
-    At a stage boundary each surviving mean estimate (total count divided
-    by the stage target) gets a confidence interval with divergence
-    budget ln(n) + 3*ln(ln(n)); anything whose upper bound does not
-    exceed the best lower bound collapses onto the leader, and the
-    success counts carry over unchanged.
+    per surviving row and column.  Each round has two phases: the row
+    phase samples one column through the column redirection map and
+    plays it against every surviving row, then the column phase samples
+    one row through the row map and plays it against every surviving
+    column.  At a stage boundary each surviving mean estimate (total
+    count divided by the stage target) gets a confidence interval with
+    divergence budget ln(n) + 3*ln(ln(n)); anything whose upper bound
+    does not exceed the best lower bound collapses onto the leader, and
+    the success counts carry over unchanged.
 
-    Only the row and column totals of the successes are ever read, so the
-    state is one K-vector (successes of each row in the row phases) and
-    one L-vector (of each column in the column phases).  ``plan`` walks
-    the rounds forward up to at most the stage boundary, whose
-    elimination needs the rewards.
+    Rows and columns are treated alike, so the state is indexed by side,
+    0 for rows and 1 for columns: ``_S[side]`` counts each row's
+    successes in the row phases (each column's in the column phases),
+    the only totals ever read, ``_h[side]`` is the redirection map and
+    ``_survivors[side]`` its sorted image.  The current phase plays the
+    other side's ``_fixed`` against ``_survivors[_side]`` from position
+    ``_pos`` on.  ``plan`` walks the phases forward up to at most the
+    stage boundary, whose elimination needs the rewards.
     """
 
     name = "rank1elimkl"
@@ -187,34 +191,32 @@ class Rank1ElimKL(BlockPolicy):
         log_n = math.log(self.horizon)
         self.budget = log_n + 3.0 * math.log(log_n)
         self._log_n = log_n
-        self._S_u = np.zeros(self.K, dtype=np.int64)
-        self._S_v = np.zeros(self.L, dtype=np.int64)
-        self._h_u = list(range(self.K))
-        self._h_v = list(range(self.L))
-        self._rows = list(range(self.K))
-        self._cols = list(range(self.L))
+        sizes = (self.K, self.L)
+        self._S = [[0] * n for n in sizes]
+        self._h = [list(range(n)) for n in sizes]
+        self._survivors = [list(range(n)) for n in sizes]
         self._stage = 0
         self._n_target = math.ceil(16.0 * log_n)
         self._rounds_left = self._n_target
         self.stage_log: list[StageRecord] = []
-        self._begin_round()
+        self._begin_phase(0)
 
     # read-only views used by tests and experiment reports
     @property
     def remaining_rows(self) -> list[int]:
-        return list(self._rows)
+        return list(self._survivors[0])
 
     @property
     def remaining_cols(self) -> list[int]:
-        return list(self._cols)
+        return list(self._survivors[1])
 
     @property
     def row_map(self) -> list[int]:
-        return list(self._h_u)
+        return list(self._h[0])
 
     @property
     def col_map(self) -> list[int]:
-        return list(self._h_v)
+        return list(self._h[1])
 
     @property
     def stage(self) -> int:
@@ -223,12 +225,12 @@ class Rank1ElimKL(BlockPolicy):
     @property
     def row_successes(self) -> list[int]:
         """Successes of each row over its row-phase observations so far."""
-        return self._S_u.tolist()
+        return list(self._S[0])
 
     @property
     def col_successes(self) -> list[int]:
         """Successes of each column over its column-phase observations so far."""
-        return self._S_v.tolist()
+        return list(self._S[1])
 
     def confidence_bounds(self, mu_hat: float, pulls: int) -> tuple[float, float]:
         return (
@@ -236,120 +238,99 @@ class Rank1ElimKL(BlockPolicy):
             kl_ucb_upper(mu_hat, pulls, self.budget),
         )
 
-    def _begin_round(self) -> None:
-        j = int(self.rng.integers(self.L))
-        self._cur_col = self._h_v[j]
-        self._row_phase = True
+    def _begin_phase(self, side: int) -> None:
+        h = self._h[1 - side]
+        self._fixed = h[self.rng.integers(len(h))]
+        self._side = side
         self._pos = 0
 
-    def _begin_column_phase(self) -> None:
-        r = int(self.rng.integers(self.K))
-        self._cur_row = self._h_u[r]
-        self._row_phase = False
-        self._pos = 0
-
-    def _select(self) -> tuple[int, int]:
-        if self._row_phase:
-            return (self._rows[self._pos], self._cur_col)
-        return (self._cur_row, self._cols[self._pos])
-
-    def _update(self, i: int, j: int, reward: int) -> None:
-        pos = self._pos + 1
-        if self._row_phase:
-            if reward:
-                self._S_u[i] += 1
-            if pos < len(self._rows):
-                self._pos = pos
-                return
-            self._begin_column_phase()
-        else:
-            if reward:
-                self._S_v[j] += 1
-            if pos < len(self._cols):
-                self._pos = pos
-                return
+    def _end_phase(self) -> bool:
+        """Begin the next phase, or return True at a stage boundary, which
+        the caller crosses once the phase's rewards are in."""
+        if self._side:
             self._rounds_left -= 1
             if self._rounds_left == 0:
-                self._advance_stage()
-            self._begin_round()
+                return True
+        self._begin_phase(1 - self._side)
+        return False
+
+    def _select(self) -> tuple[int, int]:
+        k = self._survivors[self._side][self._pos]
+        return (self._fixed, k) if self._side else (k, self._fixed)
+
+    def _update(self, i: int, j: int, reward: int) -> None:
+        side = self._side
+        if reward:
+            self._S[side][j if side else i] += 1
+        self._pos += 1
+        if self._pos == len(self._survivors[side]) and self._end_phase():
+            self._advance_stage()
 
     def _plan(self, limit: int):
-        # Walks the round state forward as ``_update`` would, drawing the
-        # next row or column at each phase end; stops at the stage
-        # boundary, which ``_commit`` crosses once the rewards are in.
-        rows: list[int] = []
-        cols: list[int] = []
-        in_row: list[bool] = []
-        n = 0
+        # Walks the phases forward, drawing each one's fixed index as it
+        # begins, and stops at the stage boundary, which ``_commit``
+        # crosses once the rewards are in.  Phases alternate sides, so
+        # the first one's side gives every step's.
+        first = self._side
+        walked: list[int] = []
+        fixed: list[int] = []
+        lens: list[int] = []
         boundary = False
-        while n < limit:
-            row_phase, pos = self._row_phase, self._pos
-            seq = self._rows if row_phase else self._cols
-            take = seq[pos:pos + limit - n]
-            k = len(take)
-            if row_phase:
-                rows += take
-                cols += [self._cur_col] * k
-            else:
-                rows += [self._cur_row] * k
-                cols += take
-            in_row += [row_phase] * k
-            n += k
-            if pos + k < len(seq):
-                self._pos = pos + k
-            elif row_phase:
-                self._begin_column_phase()
-            else:
-                self._rounds_left -= 1
-                if self._rounds_left == 0:
-                    boundary = True
-                    break
-                self._begin_round()
-        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                (np.array(in_row, dtype=bool), boundary))
+        while len(walked) < limit:
+            seq = self._survivors[self._side]
+            take = seq[self._pos:self._pos + limit - len(walked)]
+            walked += take
+            fixed.append(self._fixed)
+            lens.append(len(take))
+            self._pos += len(take)
+            if self._pos == len(seq) and self._end_phase():
+                boundary = True
+                break
+        sides = np.repeat(np.arange(first, first + len(lens)) % 2, lens)
+        walked = np.array(walked, dtype=np.int64)
+        fixed = np.repeat(np.array(fixed, dtype=np.int64), lens)
+        rows, cols = np.where(sides, fixed, walked), np.where(sides, walked, fixed)
+        return rows, cols, (walked, sides, boundary)
 
     def _commit(self, rows, cols, hits, state) -> None:
-        in_row, boundary = state
-        self._S_u += np.bincount(rows[hits & in_row], minlength=self.K)
-        self._S_v += np.bincount(cols[hits & ~in_row], minlength=self.L)
+        walked, sides, boundary = state
+        for side, S in enumerate(self._S):
+            for k in walked[hits & (sides == side)].tolist():
+                S[k] += 1
         if boundary:
             self._advance_stage()
-            self._begin_round()
 
     def _advance_stage(self) -> None:
+        """Eliminate on both sides, then begin the next stage's first round.
+        Every success count is checked before anything changes."""
         n_obs = self._n_target
-        S_u, S_v = self._S_u.tolist(), self._S_v.tolist()
-        for kind, survivors, S in (("row", self._rows, S_u), ("column", self._cols, S_v)):
+        for kind, survivors, counts in zip(("row", "column"), self._survivors, self._S):
             for k in survivors:
-                if not 0 <= S[k] <= n_obs:
+                if not 0 <= counts[k] <= n_obs:
                     raise ProtocolError(
-                        f"{kind} {k} holds {S[k]} successes over {n_obs} observations")
+                        f"{kind} {k} holds {counts[k]} successes over {n_obs} observations")
 
-        lower_u, upper_u, lower_v, upper_v = {}, {}, {}, {}
-        for i in self._rows:
-            lower_u[i], upper_u[i] = self.confidence_bounds(S_u[i] / n_obs, n_obs)
-        for j in self._cols:
-            lower_v[j], upper_v[j] = self.confidence_bounds(S_v[j] / n_obs, n_obs)
-
-        row_leader = max(self._rows, key=lambda i: (lower_u[i], -i))
-        col_leader = max(self._cols, key=lambda j: (lower_v[j], -j))
-        self._h_u = absorb_dominated(self._h_u, upper_u, row_leader, lower_u[row_leader])
-        self._h_v = absorb_dominated(self._h_v, upper_v, col_leader, lower_v[col_leader])
-        self._rows = sorted(set(self._h_u))
-        self._cols = sorted(set(self._h_v))
+        for side, counts in enumerate(self._S):
+            lower, upper = {}, {}
+            for k in self._survivors[side]:
+                lower[k], upper[k] = self.confidence_bounds(counts[k] / n_obs, n_obs)
+            leader = max(self._survivors[side], key=lambda k: (lower[k], -k))
+            self._h[side] = absorb_dominated(self._h[side], upper, leader, lower[leader])
+            self._survivors[side] = sorted(set(self._h[side]))
 
         self.stage_log.append(
             StageRecord(
                 stage=self._stage,
                 steps=self.t,
                 n_obs=n_obs,
-                rows=tuple(self._rows),
-                cols=tuple(self._cols),
+                rows=tuple(self._survivors[0]),
+                cols=tuple(self._survivors[1]),
             )
         )
         self._stage += 1
         self._n_target = math.ceil(16.0 * 4.0**self._stage * self._log_n)
         self._rounds_left = self._n_target - n_obs
+        self._begin_phase(0)
 
 
 class Rank1Elim(Rank1ElimKL):

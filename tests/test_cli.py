@@ -100,6 +100,13 @@ class TestMetrics:
         code = main(["metrics", "--instance", str(tmp_path / "absent.json")])
         assert code == 1
 
+    def test_repeated_spec_key_exits_one(self, capsys):
+        code = main(["metrics", "--instance", "needle:K=8,K=3,L=2,p=0.25,gap=0.5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeats key 'K'" in captured.err
+
 
 class TestRun:
     def run_flags(self, out, extra=()):

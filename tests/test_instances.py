@@ -263,6 +263,19 @@ class TestInstanceSpec:
         with pytest.raises(ValueError, match="seed"):
             parse_instance_spec("pbm-like:K=3,L=3,head_mass=0.8,decay=0.5,seed=1")
 
+    def test_repeated_key_rejected(self):
+        # the last value used to win silently: this built a 3-row instance
+        with pytest.raises(ValueError, match="needle spec repeats key 'K'"):
+            parse_instance_spec("needle:K=8,K=3,L=2,p=0.25,gap=0.5")
+        with pytest.raises(ValueError, match="pbm-like spec repeats key 'decay'"):
+            parse_instance_spec("pbm-like:K=3,L=3,head_mass=0.8,decay=0.5,decay=0.6")
+
+    def test_split_param_beside_shared_one(self):
+        # p_u beside p is not a repeat: it sets the row side, p the other
+        inst = parse_instance_spec("needle:K=2,L=2,p=0.25,p_u=0.1,gap=0.5")
+        np.testing.assert_allclose(inst.u_bar, [0.6, 0.1])
+        np.testing.assert_allclose(inst.v_bar, [0.75, 0.25])
+
     def test_path_spec(self, tmp_path):
         inst = needle_instance(2, 2, 0.25, 0.25, 0.5, 0.5)
         path = tmp_path / "i.json"

@@ -165,7 +165,7 @@ class TestRank1ElimKLSchedule:
         pol = Rank1ElimKL(2, 2, 10**4, np.random.default_rng(11))
         env = zero_noise_env([1.0, 0.0], [1.0, 1.0], seed=12)
         drive(pol, env, 591)
-        pol._S_u[1] = 149  # tampered: row 1 has had 148 observations
+        pol._S[0][1] = 149  # tampered: row 1 has had 148 observations
         with pytest.raises(ProtocolError, match="149 successes over 148"):
             drive(pol, env, 1)
 
@@ -174,11 +174,36 @@ class TestRank1ElimKLSchedule:
         env = zero_noise_env([1.0, 1.0], [1.0, 0.0], seed=12)
         rows, cols = pol.plan(591)
         pol.commit(rows, cols, env.play(rows, cols)[0])
-        pol._S_v[0] = 149
+        pol._S[1][0] = 149
         rows, cols = pol.plan(10)
         assert rows.size == 1
         with pytest.raises(ProtocolError, match="column 0 holds 149"):
             pol.commit(rows, cols, env.play(rows, cols)[0])
+
+    @pytest.mark.parametrize("block", [False, True], ids=["per_step", "block"])
+    def test_failed_boundary_check_changes_nothing(self, block):
+        # row 1 is eliminated at step 592; a bad column count must stop
+        # that boundary before any row is absorbed
+        pol = Rank1ElimKL(2, 2, 10**4, np.random.default_rng(11))
+        env = zero_noise_env([1.0, 0.0], [1.0, 1.0], seed=12)
+
+        def play(steps):
+            if block:
+                rows, cols = pol.plan(steps)
+                pol.commit(rows, cols, env.play(rows, cols)[0])
+            else:
+                drive(pol, env, steps)
+
+        def public_state():
+            return (pol.row_map, pol.col_map, pol.remaining_rows, pol.remaining_cols,
+                    pol.stage, list(pol.stage_log))
+
+        play(591)
+        before = public_state()
+        pol._S[1][0] = 149
+        with pytest.raises(ProtocolError, match="column 0 holds 149"):
+            play(1)
+        assert public_state() == before
 
     def test_success_checks_hold_under_python_O(self):
         # python -O strips assert statements: the two tamper tests above
