@@ -269,34 +269,35 @@ class Rank1ElimKL(BlockPolicy):
     def _plan(self, limit: int):
         # Walks the phases forward, drawing each one's fixed index as it
         # begins, and stops at the stage boundary, which ``_commit``
-        # crosses once the rewards are in.  Phases alternate sides, so
-        # the first one's side gives every step's.
-        first = self._side
+        # crosses once the rewards are in.
         walked: list[int] = []
         fixed: list[int] = []
+        sides: list[int] = []
         lens: list[int] = []
         boundary = False
         while len(walked) < limit:
-            seq = self._survivors[self._side]
+            side = self._side
+            seq = self._survivors[side]
             take = seq[self._pos:self._pos + limit - len(walked)]
             walked += take
             fixed.append(self._fixed)
+            sides.append(side)
             lens.append(len(take))
             self._pos += len(take)
             if self._pos == len(seq) and self._end_phase():
                 boundary = True
                 break
-        sides = np.repeat(np.arange(first, first + len(lens)) % 2, lens)
-        walked = np.array(walked, dtype=np.int64)
-        fixed = np.repeat(np.array(fixed, dtype=np.int64), lens)
-        rows, cols = np.where(sides, fixed, walked), np.where(sides, walked, fixed)
-        return rows, cols, (walked, sides, boundary)
+        step_sides = np.repeat(np.array(sides, dtype=bool), lens)
+        step_walked = np.array(walked, dtype=np.int64)
+        step_fixed = np.repeat(np.array(fixed, dtype=np.int64), lens)
+        rows = np.where(step_sides, step_fixed, step_walked)
+        cols = np.where(step_sides, step_walked, step_fixed)
+        return rows, cols, (step_sides, step_walked, boundary)
 
     def _commit(self, rows, cols, hits, state) -> None:
-        walked, sides, boundary = state
-        for side, S in enumerate(self._S):
-            for k in walked[hits & (sides == side)].tolist():
-                S[k] += 1
+        sides, walked, boundary = state
+        for side, k in zip(sides[hits].tolist(), walked[hits].tolist()):
+            self._S[side][k] += 1
         if boundary:
             self._advance_stage()
 
