@@ -264,7 +264,7 @@ class TestInstanceSpec:
             parse_instance_spec("pbm-like:K=3,L=3,head_mass=0.8,decay=0.5,seed=1")
 
     def test_repeated_key_rejected(self):
-        # the last value used to win silently: this built a 3-row instance
+        # otherwise the last value would win silently, here K=3 over K=8
         with pytest.raises(ValueError, match="needle spec repeats key 'K'"):
             parse_instance_spec("needle:K=8,K=3,L=2,p=0.25,gap=0.5")
         with pytest.raises(ValueError, match="pbm-like spec repeats key 'decay'"):
