@@ -13,13 +13,88 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rank1bandit.klucb import kl_div, kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+
+
+def invert_ref(mu_hat: float, pulls: float, delta: float, end: float) -> float:
+    """Bit oracle of the scalar solvers: the bisection run for a fixed 100
+    iterations, with no stop at its fixed point.  Inputs must be valid."""
+    if delta == 0.0 or mu_hat == end:
+        return mu_hat
+    log = math.log
+    interior = 0.0 < mu_hat < 1.0
+    if interior:
+        one_mu = 1.0 - mu_hat
+        base = mu_hat * log(mu_hat) + one_mu * log(one_mu)
+
+    def div(q: float) -> float:
+        if interior:
+            return base - mu_hat * log(q) - one_mu * log(1.0 - q)
+        return -math.log1p(-q) if mu_hat == 0.0 else -log(q)
+
+    near, far = mu_hat, end
+    for _ in range(100):
+        mid = 0.5 * (near + far)
+        if 0.0 < mid < 1.0 and pulls * div(mid) <= delta:
+            near = mid
+        else:
+            far = mid
+    return near
+
+
+def upper_many_ref(mu: np.ndarray, n: np.ndarray, delta: float) -> np.ndarray:
+    """Bit oracle of ``kl_ucb_upper_many``: 100 lockstep iterations, each
+    masking the mu = 0 and mu = 1 terms.  Inputs must be valid."""
+    if delta == 0.0:
+        return mu.copy()
+    one_mu = 1.0 - mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = np.where(mu > 0.0, mu * np.log(np.maximum(mu, 1e-300)), 0.0) + np.where(
+            one_mu > 0.0, one_mu * np.log(np.maximum(one_mu, 1e-300)), 0.0
+        )
+    lo = mu.copy()
+    hi = np.ones_like(mu)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        one_mid = 1.0 - mid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = base - np.where(mu > 0.0, mu * np.log(mid), 0.0) - np.where(
+                one_mu > 0.0, one_mu * np.log(np.maximum(one_mid, 0.0)), 0.0
+            )
+        feasible = n * d <= delta
+        lo = np.where(feasible, mid, lo)
+        hi = np.where(feasible, hi, mid)
+    return lo
+
+
+# pulls from 1 to 10^6, with the few-pull counts where a budget ratio
+# delta/pulls past 36.74 is reachable
+PULLS = st.one_of(st.integers(1, 5), st.integers(1, 10**6))
+
+
+@st.composite
+def mean_and_pulls(draw) -> tuple[float, int]:
+    """A mean (degenerate, at a double's edge, an empirical S/pulls, or any
+    float in [0, 1]) with a pull count."""
+    pulls = draw(PULLS)
+    mu = draw(st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53]),
+        st.integers(0, pulls).map(lambda s: s / pulls),
+        st.floats(0.0, 1.0),
+    ))
+    return mu, pulls
+
+
+# delta/pulls on both sides of 36.74, where 1 - exp(-delta/pulls) rounds to 1
+BUDGET_RATIO = st.one_of(
+    st.just(0.0), st.floats(0.0, 36.7), st.floats(36.8, 1e3), st.sampled_from([36.7, 36.74, 36.8, 40.0])
+)
 
 
 class TestKlDiv:
@@ -242,3 +317,31 @@ class TestVectorizedUpper:
         mus = np.array([0.0, 0.3, 1.0])
         out = kl_ucb_upper_many(mus, np.array([5, 5, 5]), 0.0)
         np.testing.assert_allclose(out, mus, atol=1e-12)
+
+
+class TestFixedPointStop:
+    """The solvers stop at the bisection's fixed point; their bits are those
+    of the fixed 100 iterations they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mp=mean_and_pulls(), ratio=BUDGET_RATIO)
+    @example(mp=(0.0, 1), ratio=1e-29)  # runs to the cap; a shorter cap moves its bits
+    @example(mp=(1.0, 1), ratio=40.0)
+    def test_scalar_bits(self, mp, ratio):
+        mu, pulls = mp
+        delta = ratio * pulls
+        assert kl_ucb_upper(mu, pulls, delta).hex() == invert_ref(mu, pulls, delta, 1.0).hex()
+        assert kl_ucb_lower(mu, pulls, delta).hex() == invert_ref(mu, pulls, delta, 0.0).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(lanes=st.lists(mean_and_pulls(), max_size=40), delta=st.floats(0.0, 200.0))
+    @example(lanes=[], delta=3.0)
+    @example(lanes=[(0.0, 1), (1e-20, 1), (0.5, 3)], delta=1e-15)  # runs to the cap
+    @example(lanes=[(0.0, 1), (1.0, 1), (5e-324, 2), (1.0 - 2**-53, 3), (0.25, 4)], delta=40.0)
+    def test_array_bits(self, lanes, delta):
+        mu = np.array([m for m, _ in lanes], dtype=float)
+        n = np.array([p for _, p in lanes], dtype=float)
+        got = kl_ucb_upper_many(mu, n, delta)
+        want = upper_many_ref(mu, n, delta)
+        assert got.shape == want.shape
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
