@@ -194,7 +194,8 @@ class Environment:
         return reward
 
     def play(self, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Play the pairs (rows[t], cols[t]) in order, one step each.
+        """Play the pairs (rows[t], cols[t]) in order, one step each; the
+        indices must have an integer dtype.
 
         Returns the rewards (int8) and the cumulative pseudo-regret and
         stochastic regret after each step of the block.  Step t reads
@@ -202,14 +203,17 @@ class Environment:
         as ``step`` would, and the regrets are summed in the same order,
         so the results are bit-identical to m calls of ``step``.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        rows, cols = np.asarray(rows), np.asarray(cols)
         K, span = self._K, self._span
         m = rows.size
         if rows.shape != (m,) or cols.shape != (m,):
             raise ValueError("rows and cols must be 1-d arrays of one length")
         if m == 0:
             return np.zeros(0, np.int8), np.zeros(0), np.zeros(0)
+        # a cast would truncate 1.9 to row 1, where step rejects it
+        if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)):
+            raise ValueError(f"indices must be integers, got {rows.dtype} and {cols.dtype}")
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
         if rows.min() < 0 or rows.max() >= K:
             raise IndexError(f"row index outside [0, {K})")
         if cols.min() < 0 or cols.max() >= span - K:

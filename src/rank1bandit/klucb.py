@@ -107,9 +107,13 @@ def kl_ucb_upper(mu_hat: float, pulls: float, delta: float) -> float:
 
 
 def kl_ucb_lower(mu_hat: float, pulls: float, delta: float) -> float:
-    """Smallest q in [0, mu_hat] with pulls * d(mu_hat, q) <= delta.
+    """Smallest q in [0, mu_hat] with pulls * d(mu_hat, q) <= delta, to
+    within mu_hat * 2^-100 above it.
 
     For mu_hat = 1 this is exp(-delta/pulls); for mu_hat = 0 it is 0.
+    The 100-iteration cap leaves a bracket mu_hat * 2^-100 wide, which is
+    also a floor: a smaller root comes back as mu_hat * 2^-100, so
+    ``kl_ucb_lower(1.0, 1, 200.0)`` is 2^-100, not exp(-200).
     """
     return _invert(mu_hat, pulls, delta, 0.0)
 

@@ -111,8 +111,7 @@ class BlockPolicy(Policy):
     arrays, never past the next stage or round boundary nor past the
     horizon; ``commit(rows, cols, rewards)`` then folds their rewards in.
     Subclasses implement ``_plan(limit) -> (rows, cols, state)`` and
-    ``_commit(rows, cols, hits, state)``, ``hits`` being the rewards as
-    a bool array.
+    ``_commit(hits, state)``, ``hits`` being the rewards as a bool array.
     """
 
     def plan(self, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,12 +139,12 @@ class BlockPolicy(Policy):
             raise ValueError("rewards must be 0 or 1")
         self._pending = None
         self.t += plan.rows.size
-        self._commit(plan.rows, plan.cols, rewards.astype(bool), plan.state)
+        self._commit(rewards.astype(bool), plan.state)
 
     def _plan(self, limit: int):
         raise NotImplementedError
 
-    def _commit(self, rows: np.ndarray, cols: np.ndarray, hits: np.ndarray, state) -> None:
+    def _commit(self, hits: np.ndarray, state) -> None:
         raise NotImplementedError
 
 
@@ -294,7 +293,7 @@ class Rank1ElimKL(BlockPolicy):
         cols = np.where(step_sides, step_walked, step_fixed)
         return rows, cols, (step_sides, step_walked, boundary)
 
-    def _commit(self, rows, cols, hits, state) -> None:
+    def _commit(self, hits, state) -> None:
         sides, walked, boundary = state
         for side, k in zip(sides[hits].tolist(), walked[hits].tolist()):
             self._S[side][k] += 1
@@ -366,12 +365,10 @@ class UCB1(Policy):
         self._means = np.zeros(n_arms)
         self._sums = np.zeros(n_arms)
         self._inv_sqrt = np.zeros(n_arms)
-        self._a = -1
 
     def _select(self) -> tuple[int, int]:
         t = self.t
         a = t if t < self._n_arms else int(np.argmax(self._index(t)))
-        self._a = a
         return (a // self.L, a % self.L)
 
     def _index(self, t: int) -> np.ndarray:
@@ -380,7 +377,7 @@ class UCB1(Policy):
         return self._means + width * self._inv_sqrt
 
     def _update(self, i: int, j: int, reward: int) -> None:
-        a = self._a
+        a = i * self.L + j
         c = self._counts[a] + 1.0
         self._counts[a] = c
         self._sums[a] += reward
@@ -396,8 +393,16 @@ class UCB1Elim(BlockPolicy):
     plus the round radius falls strictly below the best mean minus the
     radius are dropped, then w halves.  Rounds stop once n * w^2 would
     drop below e (the radius would lose meaning); after that the
-    survivors are simply cycled.  ``plan`` covers at most the rest of a
-    round, whose elimination needs the rewards.
+    survivors are simply cycled.
+
+    The targets grow strictly, so every survivor begins a round with
+    exactly the previous target's pulls, and the round plays each
+    survivor in turn ``_reps`` times, the difference of the two targets.
+    Step ``_pos`` of a round plays survivor ``_pos // _reps`` (modulo
+    their number); cycling is the same walk with ``_reps`` = 1 and the
+    horizon, which no round reaches, as the round length.  ``plan``
+    covers at most the rest of a round, whose elimination needs the
+    rewards.
     """
 
     name = "ucb1elim"
@@ -406,13 +411,13 @@ class UCB1Elim(BlockPolicy):
         super().__init__(K, L, horizon, rng)
         n_arms = self.K * self.L
         self._cands = np.arange(n_arms)
-        self._counts = np.zeros(n_arms, dtype=np.int64)
         self._sums = np.zeros(n_arms, dtype=np.int64)
         self._m = 0
         self._m_max = max(0, math.floor(0.5 * math.log2(self.horizon / math.e)))
         self._target = self.round_pull_target(self.horizon, 0)
-        self._ptr = 0
-        self._cycling = False
+        self._reps = self._target
+        self._round_len = self._reps * n_arms
+        self._pos = 0
 
     @staticmethod
     def round_pull_target(horizon: int, m: int) -> int:
@@ -425,72 +430,44 @@ class UCB1Elim(BlockPolicy):
         return [(a // self.L, a % self.L) for a in self._cands.tolist()]
 
     def _select(self) -> tuple[int, int]:
-        # invariant: outside cycling mode the pointer sits on a candidate
-        # still short of the round target (rounds close eagerly in update)
-        a = int(self._cands[self._ptr])
-        self._a = a
+        a = int(self._cands[self._pos // self._reps % len(self._cands)])
         return (a // self.L, a % self.L)
 
     def _update(self, i: int, j: int, reward: int) -> None:
-        a = self._a
-        self._counts[a] += 1
-        self._sums[a] += reward
-        if self._cycling:
-            self._ptr = (self._ptr + 1) % len(self._cands)
-        elif self._counts[a] >= self._target:
-            self._ptr += 1
-            if self._ptr == len(self._cands):
-                self._close_round()
+        self._sums[i * self.L + j] += reward
+        self._pos += 1
+        if self._pos == self._round_len:
+            self._close_round()
 
     def _plan(self, limit: int):
-        cands, ptr, n_cands = self._cands, self._ptr, len(self._cands)
-        close = False
-        if self._cycling:
-            arms = cands[(ptr + np.arange(limit)) % n_cands]
-            self._ptr = (ptr + limit) % n_cands
-        else:
-            # each candidate tops up in one run; at most ``limit`` of them
-            run_arms: list[int] = []
-            run_lens: list[int] = []
-            n = 0
-            while n < limit:
-                a = int(cands[ptr])
-                # as in _update, an arm is played at least once per visit
-                need = max(1, self._target - int(self._counts[a]))
-                take = min(need, limit - n)
-                run_arms.append(a)
-                run_lens.append(take)
-                n += take
-                if take < need:
-                    break
-                ptr += 1
-                if ptr == n_cands:
-                    close = True
-                    break
-            self._ptr = ptr
-            arms = np.repeat(np.array(run_arms, dtype=np.int64), run_lens)
-        return arms // self.L, arms % self.L, (arms, close)
+        pos = self._pos
+        self._pos = end = min(pos + limit, self._round_len)
+        arms = self._cands[np.arange(pos, end) // self._reps % len(self._cands)]
+        return arms // self.L, arms % self.L, arms
 
-    def _commit(self, rows, cols, hits, state) -> None:
-        arms, close = state
-        np.add.at(self._counts, arms, 1)
+    def _commit(self, hits, arms) -> None:
         np.add.at(self._sums, arms, hits.view(np.int8))
-        if close:
+        if self._pos == self._round_len:
             self._close_round()
 
     def _close_round(self) -> None:
         n_m = self._target
         radius = math.sqrt(math.log(self.horizon * 4.0 ** (-self._m)) / (2.0 * n_m))
         cands = self._cands
-        means = self._sums[cands] / self._counts[cands]
+        # every survivor holds exactly n_m pulls
+        means = self._sums[cands] / n_m
         cutoff = means.max() - radius
         self._cands = cands[means + radius >= cutoff]
-        self._ptr = 0
+        self._pos = 0
         if self._m >= self._m_max:
-            self._cycling = True
+            # cycle to the horizon, which ends the run before this round
+            self._reps = 1
+            self._round_len = self.horizon
             return
         self._m += 1
         self._target = self.round_pull_target(self.horizon, self._m)
+        self._reps = self._target - n_m
+        self._round_len = self._reps * len(self._cands)
 
 
 class KLUCB(UCB1):

@@ -105,6 +105,11 @@ class TestEnvironmentPlay:
             env.play([0, 0], [0, -1])
         with pytest.raises(ValueError):
             env.play([0, 0], [0])
+        # step rejects a fractional index, so play must not truncate it
+        with pytest.raises(ValueError):
+            env.play([0.7, 1.9], [0, 1])
+        with pytest.raises(ValueError):
+            env.play(np.array([0, 1]), np.array([0.0, 1.0]))
         assert env.steps == 0
 
     def test_empty_block(self):
@@ -208,6 +213,34 @@ class TestPlanCommitProtocol:
         rows, cols = play_block(pol, env, 10**6)
         assert cols.tolist() == [0] * 9 + [1] * 19
         assert pol.remaining_arms == [(0, 0)]
+
+    def test_ucb1elim_cycles_two_survivors(self):
+        # horizon 576: rounds 0-3 top both arms up to 13, 40, 115 and 282
+        # pulls, none can separate means 1 and 0.99, and from step 564 on
+        # the two survivors alternate, so blocks wrap around them
+        pol = UCB1Elim(1, 2, 576, np.random.default_rng(0))
+        env = zero_noise_env([1.0], [1.0, 0.99])
+        while pol.t < 564:
+            play_block(pol, env, 100)
+        assert pol.t == 564 and pol.remaining_arms == [(0, 0), (0, 1)]
+        _, cols = play_block(pol, env, 5)
+        assert cols.tolist() == [0, 1, 0, 1, 0]
+        _, cols = play_block(pol, env, 100)
+        assert cols.tolist() == [1, 0, 1, 0, 1, 0, 1]
+        assert pol.t == 576
+
+        inst = Rank1Instance(u_bar=[1.0], v_bar=[1.0, 0.99])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.json"
+            save_instance(inst, path)
+            config = ExperimentConfig(instance=str(path), policy="ucb1elim", horizon=576,
+                                      runs=1, master_seed=5)
+            trace, pol = run_one_keeping_policy(config, 0)
+        pseudo, stoch, ref = reference_loop("ucb1elim", inst, 576, 5, 0)
+        assert pseudo[-1] == pytest.approx(288 * 0.01)  # arm (0, 1) played 282 + 6 times
+        assert trace.cum_pseudo_regret == pseudo
+        assert trace.cum_stochastic_regret == stoch
+        assert policy_state(pol) == policy_state(ref)
 
 
 def reference_loop(name, inst, horizon, master_seed, run_index):

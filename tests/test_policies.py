@@ -352,7 +352,16 @@ class TestUCB1Elim:
     def test_round_targets(self):
         assert UCB1Elim.round_pull_target(10**4, 0) == 19
         assert UCB1Elim.round_pull_target(10**4, 1) == 63
-        assert UCB1Elim.round_pull_target(10**4, 2) > 63  # nonincreasing in width
+        assert UCB1Elim.round_pull_target(10**4, 2) > 63  # grows as the width halves
+        # the targets grow strictly over the rounds m = 0.._m_max, so every
+        # survivor enters a round with exactly the last round's target
+        rng = np.random.default_rng(0)
+        horizons = set(range(5, 20_000))
+        horizons |= set(np.geomspace(20_000, 1e12, 3_000).astype(np.int64).tolist())
+        for n in sorted(horizons):
+            m_max = UCB1Elim(1, 1, n, rng)._m_max
+            targets = [UCB1Elim.round_pull_target(n, m) for m in range(m_max + 1)]
+            assert all(a < b for a, b in zip(targets, targets[1:])), n
 
     def test_first_round_sweep_order(self):
         pol = UCB1Elim(1, 2, 10**4, np.random.default_rng(0))
