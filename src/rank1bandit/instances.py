@@ -170,6 +170,11 @@ class Environment:
 
     def step(self, i: int, j: int) -> int:
         K = self._K
+        # checked before a block is drawn: a float would fail only at the list
+        # lookup, after the draw, and a bool would play row or column 0 or 1
+        if (type(i) is not int and not isinstance(i, np.integer)
+                or type(j) is not int and not isinstance(j, np.integer)):
+            raise ValueError(f"indices must be integers, got {type(i).__name__} and {type(j).__name__}")
         if i < 0 or i >= K:
             raise IndexError(f"row index {i} outside [0, {K})")
         if j < 0 or j >= self._span - K:

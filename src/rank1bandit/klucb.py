@@ -21,6 +21,10 @@ running on would.  Most solves settle after 50-62 iterations.
 ``_BISECT_ITERS`` = 100 is only a cap; it still binds where the answer is
 far smaller than the bracket, such as a lower bound from a few pulls and a
 large budget, and fixes those bits as before.
+
+``kl_ucb_upper_many``, the array form of the upper bound, takes Newton
+steps instead, in s = -log(1 - q), where d(mu_hat, .) is convex and close
+to linear; a call settles in about 4-13 steps (see its docstring).
 """
 
 from __future__ import annotations
@@ -30,6 +34,12 @@ import math
 import numpy as np
 
 _BISECT_ITERS = 100
+_NEWTON_ITERS = 16
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+# kl_ucb_upper_many trusts Newton where the budget per pull is at least this
+# share of the entropy -base, the size of the divergence's terms near mu_hat:
+# 2^26 times their rounding
+_RESOLUTION = 2.0**-26
 
 
 def _check_unit(x: float, name: str) -> float:
@@ -119,13 +129,28 @@ def kl_ucb_lower(mu_hat: float, pulls: float, delta: float) -> float:
 
 
 def kl_ucb_upper_many(mu_hat: np.ndarray, pulls: np.ndarray, delta: float) -> np.ndarray:
-    """Vectorized ``kl_ucb_upper`` over arrays of means and counts.
+    """Vectorized ``kl_ucb_upper`` over arrays of means and counts, for the
+    flat KL index policy, which needs one bound per arm every step.
 
-    Same bisection, run in lockstep across all entries; used by the flat
-    KL index policy where one bound per arm is needed every step.  It stops
-    once every entry's midpoint repeats the previous iteration's, the array
-    form of the scalar fixed point, so the bits are those of the full
-    ``_BISECT_ITERS`` iterations.
+    The divergence is the scalar solver's: -log1p(-q) at mu_hat = 0 and
+    base - mu*log(q) - (1-mu)*log(1-q) inside (0, 1).  mu_hat = 0 takes the
+    closed form 1 - exp(-delta/pulls), capped at the largest double below 1,
+    mu_hat = 1 gives 1 and delta = 0 gives mu_hat.  Interior means take
+    safeguarded Newton steps in s = -log(1 - q), where the divergence is
+    convex with slope (q - mu)/q, from a start above the root, so that the
+    iterates fall toward it; a step that would leave the bracket (mu_hat, q)
+    halves it instead, and each step moves at least one ulp, doubling after
+    the fourth.  A lane stops at its first iterate with pulls * d <= delta,
+    within about an ulp of the largest such q.  The result always meets
+    pulls * d(mu_hat, q) <= delta in this divergence.
+
+    Where the budget per pull is below ``_RESOLUTION`` times the entropy
+    -(mu log mu + (1-mu) log(1-mu)), the divergence's rounding is as large
+    as the budget, and the set of feasible q is ragged over up to about 1e-8
+    beyond the root.  Those lanes, and any lane that Newton leaves
+    infeasible after ``_NEWTON_ITERS`` steps, are halved from [mu_hat, 1] to
+    the bisection's fixed point instead, which returns the scalar solver's
+    crossing.  No budget a policy computes reaches that regime.
     """
     mu = np.asarray(mu_hat, dtype=float)
     n = np.asarray(pulls, dtype=float)
@@ -138,26 +163,78 @@ def kl_ucb_upper_many(mu_hat: np.ndarray, pulls: np.ndarray, delta: float) -> np
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     if delta == 0.0:
         return mu.copy()
+    if mu.shape != n.shape:
+        mu, n = np.broadcast_arrays(mu, n)
+    shape = mu.shape
+    mu, n = mu.ravel(), n.ravel()
+    r = delta / n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        zero = mu == 0.0
+        inner = ~zero & (mu < 1.0)
+        if inner.all():
+            return _upper_interior(mu, n, r, delta).reshape(shape)
+        out = np.ones_like(mu)
+        if inner.any():
+            out[inner] = _upper_interior(mu[inner], n[inner], r[inner], delta)
+        if zero.any():
+            out[zero] = _upper_at_zero(n[zero], r[zero], delta)
+    return out.reshape(shape)
 
+
+def _upper_at_zero(n: np.ndarray, r: np.ndarray, delta: float) -> np.ndarray:
+    """The upper bound at mu_hat = 0, where d(0, q) = -log1p(-q)."""
+    q = np.minimum(-np.expm1(-r), _BELOW_ONE)
+    # the closed form can round past the root; step back to feasibility
+    over = n * -np.log1p(-q) > delta
+    while over.any():
+        q[over] = np.nextafter(q[over], 0.0)
+        over = n * -np.log1p(-q) > delta
+    return q
+
+
+def _upper_interior(mu: np.ndarray, n: np.ndarray, r: np.ndarray, delta: float) -> np.ndarray:
+    """The upper bound for 0 < mu_hat < 1, by safeguarded Newton."""
     one_mu = 1.0 - mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(mu > 0.0, mu * np.log(np.maximum(mu, 1e-300)), 0.0) + np.where(
-            one_mu > 0.0, one_mu * np.log(np.maximum(one_mu, 1e-300)), 0.0
-        )
-        lo = mu.copy()
-        hi = np.ones_like(mu)
-        prev = np.full_like(mu, np.nan)
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            # the same mid in every lane gives the same test, so the state is
-            # already at its fixed point
-            if (mid == prev).all():
-                break
-            # mu = 0 makes the first product -0.0, and base - -0.0 is base - 0.0;
-            # mu = 1 starts at lo = hi = 1, where the nan divergence is infeasible
-            d = base - mu * np.log(mid) - one_mu * np.log(1.0 - mid)
-            feasible = n * d <= delta
-            np.copyto(lo, mid, where=feasible)
-            np.copyto(hi, mid, where=~feasible)
-            prev = mid
+    base = mu * np.log(np.maximum(mu, 1e-300)) + one_mu * np.log(one_mu)
+    halve = r < _RESOLUTION * -base
+    # start above the root: d >= base + (1-mu) s, d >= (q-mu)^2 / (2q) and
+    # Pinsker's d >= 2 (q-mu)^2 each bound it
+    x = -np.expm1((base - r) / one_mu)
+    np.minimum(x, mu + r + np.sqrt(r * (r + 2.0 * mu)), out=x)
+    np.minimum(x, mu + np.sqrt(0.5 * r), out=x)
+    np.minimum(x, _BELOW_ONE, out=x)
+    for i in range(_NEWTON_ITERS):
+        one_x = 1.0 - x
+        f = n * (base - mu * np.log(x) - one_mu * np.log(one_x)) - delta
+        feasible = f <= 0.0
+        if (feasible | halve).all():
+            break
+        # the step ds = f / f'(s) scales 1 - q by exp(ds); infeasible lanes
+        # have f > 0 and fall
+        step = x - one_x * np.expm1(f * x / (n * (x - mu)))
+        np.minimum(step, x * (1.0 - 2.0 ** (max(i, 4) - 56)), out=step)
+        step = np.where(step > mu, step, 0.5 * (mu + x))
+        x = np.where(feasible, x, step)
+    halve |= ~feasible
+    if halve.any():
+        x[halve] = _halve_upper(mu[halve], n[halve], delta, base[halve], one_mu[halve])
+    return x
+
+
+def _halve_upper(mu: np.ndarray, n: np.ndarray, delta: float, base: np.ndarray,
+                 one_mu: np.ndarray) -> np.ndarray:
+    """Bisect [mu, 1] in lockstep to the fixed point, where every lane's
+    midpoint repeats the previous iteration's."""
+    lo = mu.copy()
+    hi = np.ones_like(mu)
+    prev = np.full_like(mu, np.nan)
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo + hi)
+        if (mid == prev).all():
+            break
+        # mid = 1 gives an infinite divergence, which is infeasible
+        feasible = n * (base - mu * np.log(mid) - one_mu * np.log(1.0 - mid)) <= delta
+        np.copyto(lo, mid, where=feasible)
+        np.copyto(hi, mid, where=~feasible)
+        prev = mid
     return lo

@@ -54,7 +54,7 @@ PBM8 = "pbm-like:K=8,L=8,head_mass=0.85,decay=0.6"
 def _cells() -> list[tuple[str, str, int]]:
     cells = []
     for policy in sorted(POLICIES):
-        # the flat KL policy costs about 1 ms a step at 16x16 (2-core x86-64)
+        # the flat KL policy costs about 0.1 ms a step at 16x16 (2-core x86-64)
         horizon, edge = (1_000, 500) if policy == "klucb" else (10_000, 2_000)
         for instance in (NEEDLE4, NEEDLE8, PBM8):
             cells.append((policy, instance, horizon))
