@@ -170,11 +170,14 @@ class Environment:
 
     def step(self, i: int, j: int) -> int:
         K = self._K
-        # checked before a block is drawn: a float would fail only at the list
-        # lookup, after the draw, and a bool would play row or column 0 or 1
-        if (type(i) is not int and not isinstance(i, np.integer)
-                or type(j) is not int and not isinstance(j, np.integer)):
-            raise ValueError(f"indices must be integers, got {type(i).__name__} and {type(j).__name__}")
+        if type(i) is not int or type(j) is not int:
+            # checked before a block is drawn: a float would fail only at the
+            # list lookup, after the draw, a bool would play index 0 or 1, and
+            # a narrow numpy integer would overflow in the offsets below
+            if (isinstance(i, bool) or isinstance(j, bool)
+                    or not isinstance(i, (int, np.integer)) or not isinstance(j, (int, np.integer))):
+                raise ValueError(f"indices must be integers, got {type(i).__name__} and {type(j).__name__}")
+            i, j = int(i), int(j)
         if i < 0 or i >= K:
             raise IndexError(f"row index {i} outside [0, {K})")
         if j < 0 or j >= self._span - K:

@@ -212,7 +212,10 @@ def _upper_interior(mu: np.ndarray, n: np.ndarray, r: np.ndarray, delta: float) 
         # the step ds = f / f'(s) scales 1 - q by exp(ds); infeasible lanes
         # have f > 0 and fall
         step = x - one_x * np.expm1(f * x / (n * (x - mu)))
+        # at least one ulp down, doubling after the fourth step, so that a
+        # step lost to rounding cannot stall a lane
         np.minimum(step, x * (1.0 - 2.0 ** (max(i, 4) - 56)), out=step)
+        # a step out of the bracket (mu, x) halves it instead
         step = np.where(step > mu, step, 0.5 * (mu + x))
         x = np.where(feasible, x, step)
     halve |= ~feasible

@@ -345,7 +345,8 @@ class TestEnvStep:
 
     def test_rejected_index_draws_nothing(self):
         # a float or bool index is refused before a block of uniforms is
-        # drawn, so the steps after it read the stream the valid steps alone do
+        # drawn, so the steps after it read the stream the valid steps alone
+        # do; numpy integers are accepted
         inst = Rank1Instance(u_bar=[0.3, 0.8, 0.5], v_bar=[0.6, 0.1])
         env = Environment(inst, np.random.default_rng(9))
         arms = [(t % 3, t % 2) for t in range(2 * env.block_steps + 7)]
@@ -353,20 +354,12 @@ class TestEnvStep:
         for i, j in [(0.5, 0), (1.0, 0), (0, np.float64(1.0)), (True, 0), (0, np.bool_(False))]:
             with pytest.raises(ValueError):
                 env.step(i, j)
-        rest = [env.step(i, j) for i, j in arms[env.block_steps:]]
+        rest = [env.step(np.int64(i), np.uint8(j)) for i, j in arms[env.block_steps:]]
         ref = Environment(inst, np.random.default_rng(9))
         assert first + rest == [ref.step(i, j) for i, j in arms]
         assert env.steps == ref.steps == len(arms)
         assert env.cum_pseudo_regret == ref.cum_pseudo_regret
         assert env.cum_stochastic_regret == ref.cum_stochastic_regret
-
-    def test_numpy_integer_indices(self):
-        inst = Rank1Instance(u_bar=[0.3, 0.8, 0.5], v_bar=[0.6, 0.1])
-        env = Environment(inst, np.random.default_rng(4))
-        ref = Environment(inst, np.random.default_rng(4))
-        for t in range(50):
-            i, j = np.int64(t % 3), np.uint8(t % 2)
-            assert env.step(i, j) == ref.step(t % 3, t % 2)
 
 
 class TestEnvironment:
