@@ -346,8 +346,8 @@ class TestVectorizedUpper:
     @example(lanes=[(0.0, 1), (1e-20, 1), (0.5, 3)], delta=1e-15)  # the bisection runs to its cap
     @example(lanes=[(0.0, 1), (1.0, 1), (5e-324, 2), (1.0 - 2**-53, 3), (0.25, 4)], delta=40.0)
     def test_precision_against_bisection(self, lanes, delta):
-        # 1e-9 is the benchmark's KL_TOL, fixed before the Newton solver was
-        # written; feasibility is exact in the solver's own divergence
+        # 1e-9 is the benchmark's KL_TOL; feasibility is exact in the
+        # solver's own divergence
         mu = np.array([m for m, _ in lanes], dtype=float)
         n = np.array([p for _, p in lanes], dtype=float)
         got = kl_ucb_upper_many(mu, n, delta)
