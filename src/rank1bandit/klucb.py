@@ -24,7 +24,7 @@ large budget, and fixes those bits as before.
 
 ``kl_ucb_upper_many``, the array form of the upper bound, takes Newton
 steps instead, in s = -log(1 - q), where d(mu_hat, .) is convex and close
-to linear; a call settles in about 4-13 steps (see its docstring).
+to linear; a call settles in about 2-11 steps (see its docstring).
 """
 
 from __future__ import annotations
