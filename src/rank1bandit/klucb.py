@@ -149,8 +149,9 @@ def kl_ucb_upper_many(mu_hat: np.ndarray, pulls: np.ndarray, delta: float) -> np
     as the budget, and the set of feasible q is ragged over up to about 1e-8
     beyond the root.  Those lanes, and any lane that Newton leaves
     infeasible after ``_NEWTON_ITERS`` steps, are halved from [mu_hat, 1] to
-    the bisection's fixed point instead, which returns the scalar solver's
-    crossing.  No budget a policy computes reaches that regime.
+    the bisection's fixed point instead, and return the crossing the
+    bisection's path finds, as the scalar solver does.  No budget a policy
+    computes reaches that regime.
     """
     mu = np.asarray(mu_hat, dtype=float)
     n = np.asarray(pulls, dtype=float)
