@@ -17,6 +17,8 @@ the slow flat KL policy), two runs each, which crosses two stage
 boundaries of the elimination policies; plus edge cells with K=1 and
 L=1 (horizon 2000, 500 for the flat KL policy), a horizon shorter than one elimination round, and a horizon that ends
 exactly on a stage boundary (needle 4x4 at n = 872 = 8 * ceil(16 ln 872)).
+``--write`` prints to stderr, as ``moved: <file> <key>``, every fixture key
+whose value differs from the file it overwrites.
 
 ``tests/golden/klucb.json`` freezes the KL solver the same way: the
 SHA-256 of ``float.hex`` of every output of ``kl_ucb_upper``,
@@ -151,6 +153,17 @@ def test_kl_solver_bits():
     assert kl_digests() == json.loads(KL_GOLDEN.read_text(encoding="utf-8"))
 
 
+def _write_reporting_moves(path: Path, fixtures: dict) -> None:
+    """Write ``fixtures`` to ``path``, printing to stderr every key whose
+    value differs from the file's, or that the file lacks or has alone."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    for key in sorted(old.keys() | fixtures.keys()):
+        if old.get(key) != fixtures.get(key):
+            print(f"moved: {path.name} {key}", file=sys.stderr)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(fixtures, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _write() -> None:
     import tempfile
 
@@ -159,10 +172,8 @@ def _write() -> None:
         for cell in _cells():
             fixtures[_cell_id(cell)] = play_cell(cell, Path(tmp))
             print(_cell_id(cell), fixtures[_cell_id(cell)]["csv_sha256"][:16], file=sys.stderr)
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(fixtures, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    KL_GOLDEN.write_text(json.dumps(kl_digests(), indent=1, sort_keys=True) + "\n",
-                         encoding="utf-8")
+    _write_reporting_moves(GOLDEN, fixtures)
+    _write_reporting_moves(KL_GOLDEN, kl_digests())
 
 
 if __name__ == "__main__":
