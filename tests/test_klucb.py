@@ -9,7 +9,9 @@ exp(-delta/pulls).
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -27,16 +29,19 @@ def invert_ref(mu_hat: float, pulls: float, delta: float, end: float) -> float:
     iterations, with no stop at its fixed point.  Inputs must be valid."""
     if delta == 0.0 or mu_hat == end:
         return mu_hat
-    log = math.log
-    interior = 0.0 < mu_hat < 1.0
-    if interior:
-        one_mu = 1.0 - mu_hat
-        base = mu_hat * log(mu_hat) + one_mu * log(one_mu)
 
     def div(q: float) -> float:
-        if interior:
-            return base - mu_hat * log(q) - one_mu * log(1.0 - q)
-        return -math.log1p(-q) if mu_hat == 0.0 else -log(q)
+        # d(mu_hat, q) in t = q - mu_hat, as -mu*log1p(t/mu) +
+        # (1-mu)*log1p(t/(1-q)), each log by its ratio where its argument
+        # is at most -1/2, floored by Pinsker's 2 t^2
+        t = q - mu_hat
+        one_q = 1.0 - q
+        a = t / (mu_hat if mu_hat > 1e-308 else 1e-308)
+        b = t / one_q
+        d = (-mu_hat * (math.log1p(a) if a > -0.5 else math.log(q / mu_hat))
+             + (1.0 - mu_hat) * (math.log1p(b) if b > -0.5
+                                 else math.log((1.0 - mu_hat or 1e-308) / one_q)))
+        return d if d > 2.0 * t * t else 2.0 * t * t
 
     near, far = mu_hat, end
     for _ in range(100):
@@ -49,41 +54,60 @@ def invert_ref(mu_hat: float, pulls: float, delta: float, end: float) -> float:
 
 
 def upper_many_ref(mu: np.ndarray, n: np.ndarray, delta: float) -> np.ndarray:
-    """Oracle of ``kl_ucb_upper_many``: the bisection it used to run, 100
-    lockstep iterations, each masking the mu = 0 and mu = 1 terms.  Inputs
-    must be valid."""
+    """Oracle of ``kl_ucb_upper_many``: a bisection from [mu, 1] in the same
+    divergence, 100 lockstep iterations.  Inputs must be valid."""
     if delta == 0.0:
         return mu.copy()
-    one_mu = 1.0 - mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(mu > 0.0, mu * np.log(np.maximum(mu, 1e-300)), 0.0) + np.where(
-            one_mu > 0.0, one_mu * np.log(np.maximum(one_mu, 1e-300)), 0.0
-        )
     lo = mu.copy()
     hi = np.ones_like(mu)
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        one_mid = 1.0 - mid
+        t = mid - mu
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = base - np.where(mu > 0.0, mu * np.log(mid), 0.0) - np.where(
-                one_mu > 0.0, one_mu * np.log(np.maximum(one_mid, 0.0)), 0.0
-            )
-        feasible = n * d <= delta
+            d = (-mu * np.log1p(t / np.maximum(mu, 1e-308))
+                 + (1.0 - mu) * np.log1p(t / np.maximum(1.0 - mid, 1e-308)))
+        feasible = n * np.maximum(d, 2.0 * t * t) <= delta
         lo = np.where(feasible, mid, lo)
         hi = np.where(feasible, hi, mid)
     return lo
 
 
 def div_many(mu: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``kl_ucb_upper_many``'s own divergence d(mu, q) for q >= mu:
-    -log1p(-q) at mu = 0, 0 at q = mu, and base - mu*log(q) - (1-mu)*log(1-q)
-    otherwise."""
-    one_mu = 1.0 - mu
+    """``kl_ucb_upper_many``'s own divergence d(mu, q) for q >= mu, in
+    t = q - mu: -mu*log1p(t/mu) + (1-mu)*log1p(t/(1-q)), floored by
+    Pinsker's 2 t^2, with mu and 1 - q clamped to 1e-308 where the term is 0."""
+    t = q - mu
     with np.errstate(divide="ignore", invalid="ignore"):
-        base = mu * np.log(np.maximum(mu, 1e-300)) + one_mu * np.log(one_mu)
-        d = base - mu * np.log(q) - one_mu * np.log(1.0 - q)
-        return np.where(q == mu, 0.0, np.where(mu == 0.0, -np.log1p(-q), d))
+        d = (-mu * np.log1p(t / np.maximum(mu, 1e-308))
+             + (1.0 - mu) * np.log1p(t / np.maximum(1.0 - q, 1e-308)))
+    return np.maximum(d, 2.0 * t * t)
 
+
+def decimal_root(mu: float, pulls: int, delta: float, end: float) -> float:
+    """The root of pulls * d(mu, q) = delta between mu and ``end``, by a
+    60-digit ``decimal`` bisection of 220 steps, rounded to a double."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        m, e = Decimal(mu), Decimal(end)
+        budget = Decimal(delta) / pulls
+
+        def d(q: Decimal) -> Decimal:
+            out = (1 - m) * ((1 - m) / (1 - q)).ln()
+            return out + m * (m / q).ln() if m > 0 else out
+
+        near, far = m, e
+        for _ in range(220):
+            mid = (near + far) / 2
+            if d(mid) <= budget:
+                near = mid
+            else:
+                far = mid
+        return float(near)
+
+
+# a lane that kl_ucb_upper_many's Newton steps leave infeasible at their cap:
+# mu within 1e-13 of 1 and a budget per pull near 3e-20
+NEWTON_CAP = (0.9999999999999373, 82810, 2.825e-15)
 
 # pulls from 1 to 10^6, with the few-pull counts where a budget ratio
 # delta/pulls past 36.74 is reachable
@@ -261,6 +285,13 @@ class TestUpperSolver:
         lo, hi = sorted((d1, d2))
         assert kl_ucb_upper(mu, pulls, lo) <= kl_ucb_upper(mu, pulls, hi)
 
+    def test_cap_floor_at_zero_estimate(self):
+        # a root nearer mu_hat than the cap's bracket (1 - mu_hat) * 2^-100
+        # comes back as mu_hat; the array form has no such floor
+        assert kl_ucb_upper(0.0, 3, 1e-300) == 0.0
+        got = kl_ucb_upper_many(np.array([0.0]), np.array([3.0]), 1e-300)[0]
+        assert got == -math.expm1(-1e-300 / 3)
+
     def test_shrinks_with_more_pulls(self):
         us = [kl_ucb_upper(0.4, n, 3.0) for n in (10, 100, 1000, 10000)]
         assert all(b <= a for a, b in zip(us, us[1:]))
@@ -345,6 +376,7 @@ class TestVectorizedUpper:
     @example(lanes=[], delta=3.0)
     @example(lanes=[(0.0, 1), (1e-20, 1), (0.5, 3)], delta=1e-15)  # the bisection runs to its cap
     @example(lanes=[(0.0, 1), (1.0, 1), (5e-324, 2), (1.0 - 2**-53, 3), (0.25, 4)], delta=40.0)
+    @example(lanes=[(NEWTON_CAP[0], NEWTON_CAP[1]), (0.5, 3)], delta=NEWTON_CAP[2])
     def test_precision_against_bisection(self, lanes, delta):
         # 1e-9 is the benchmark's KL_TOL; feasibility is exact in the
         # solver's own divergence
@@ -356,6 +388,37 @@ class TestVectorizedUpper:
         assert (np.abs(got - want) <= 1e-9).all()
         assert ((mu <= got) & (got <= 1.0)).all()
         assert (n * div_many(mu, got) <= delta).all()
+
+    def test_lane_past_the_newton_cap_takes_the_scalar_bisection(self):
+        mu, pulls, delta = NEWTON_CAP
+        got = kl_ucb_upper_many(np.array([mu, 0.5]), np.array([float(pulls), 3.0]), delta)
+        assert got[0].hex() == kl_ucb_upper(mu, pulls, delta).hex()
+
+
+class TestPrecisionNearTheMean:
+    """Bounds where the budget per pull is tiny, so the root lies close to
+    mu_hat, where a divergence of the form entropy - mu*log(q) - ... cancels
+    to rounding noise."""
+
+    def test_subnormal_budget_returns_the_mean(self):
+        # the root is within 1e-160 of mu, and mu is the best double
+        for mu, pulls in [(0.5, 1), (0.4349757485946594, 485780)]:
+            assert kl_ucb_upper(mu, pulls, 5e-324) == mu
+            assert kl_ucb_upper_many(np.array([mu]), np.array([float(pulls)]), 5e-324)[0] == mu
+        assert kl_ucb_lower(0.5, 1, 5e-324) == 0.5
+
+    @pytest.mark.parametrize("mu, pulls, delta",
+                             [(1e-20, 188, 1e-15), (0.13, 10**6, 1e-9), (0.999999, 188, 1e-15)])
+    def test_within_four_ulps_of_the_root(self, mu, pulls, delta):
+        root = decimal_root(mu, pulls, delta, 1.0)
+        many = kl_ucb_upper_many(np.array([mu]), np.array([float(pulls)]), delta)[0]
+        assert abs(many - root) <= 4 * math.ulp(root)
+        # the scalar bounds, unless the cap's bracket is wider than 4 ulps
+        upper = kl_ucb_upper(mu, pulls, delta)
+        assert abs(upper - root) <= max(4 * math.ulp(root), (1.0 - mu) * 2.0**-100)
+        lower_root = decimal_root(mu, pulls, delta, 0.0)
+        lower = kl_ucb_lower(mu, pulls, delta)
+        assert abs(lower - lower_root) <= max(4 * math.ulp(lower_root), mu * 2.0**-100)
 
 
 class TestFixedPointStop:
