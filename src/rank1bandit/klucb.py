@@ -64,11 +64,11 @@ def _div(p: float, q: float) -> float:
     t = q - p
     one_q = 1.0 - q
     # the clamps keep t/p finite and the log's argument positive where p is
-    # 0, subnormal or 1; the term they enter is then below 1e-305
-    a = t / (p if p > 1e-308 else 1e-308)
+    # 0, below 1e-300 or 1; the term they enter is then below 1e-297
+    a = t / (p if p > 1e-300 else 1e-300)
     b = t / one_q
     d = (-p * (log1p(a) if a > -0.5 else log(q / p))
-         + (1.0 - p) * (log1p(b) if b > -0.5 else log((1.0 - p or 1e-308) / one_q)))
+         + (1.0 - p) * (log1p(b) if b > -0.5 else log((1.0 - p or 1e-300) / one_q)))
     # Pinsker's bound, where the rounding of the terms, about eps*|t|, hides d
     floor = 2.0 * t * t
     return d if d > floor else floor
@@ -180,23 +180,24 @@ def kl_ucb_upper_many(mu_hat: np.ndarray, pulls: np.ndarray, delta: float) -> np
     mu, n = mu.ravel(), n.ravel()
     r = delta / n
     one_mu = 1.0 - mu
-    mu_c = np.maximum(mu, 1e-308)
+    # as in _div, the clamp keeps t/mu finite where mu is 0 or below 1e-300
+    mu_c = np.maximum(mu, 1e-300)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         base = mu * np.log(mu_c) + one_mu * np.log(one_mu)
         # start above the root: d >= base + (1-mu) s bounds it (the closed
         # form at mu = 0, nan and skipped at mu = 1), and so does
         # d >= (q-mu)^2 / (2v) for any v >= x(1-x) on [mu, q], such as q and
         # m(1-m) with m = max(mu, 1/2)
-        m = np.maximum(mu, 0.5)
         x = np.fmin(-np.expm1((base - r) / one_mu), mu + r + np.sqrt(r * (r + 2.0 * mu)))
-        np.minimum(x, mu + np.sqrt(2.0 * r * m * (1.0 - m)), out=x)
+        v = np.maximum(mu, 0.5) * np.minimum(one_mu, 0.5)
+        np.minimum(x, mu + np.sqrt(2.0 * r * v), out=x)
         # below 1, where d is infinite, except at mu = 1, where d(1, 1) = 0
         np.minimum(x, np.maximum(mu, _BELOW_ONE), out=x)
         for i in range(_NEWTON_ITERS):
             t = x - mu
-            # 1 - x is 0 only at mu = 1, where t = 0
-            one_x = np.maximum(1.0 - x, 1e-308)
-            d = np.maximum(-mu * np.log1p(t / mu_c) + one_mu * np.log1p(t / one_x), 2.0 * t * t)
+            one_x = 1.0 - x
+            # nan only at mu = 1, where x = 1 and fmax takes Pinsker's floor, 0
+            d = np.fmax(one_mu * np.log1p(t / one_x) - mu * np.log1p(t / mu_c), 2.0 * t * t)
             f = n * d - delta
             feasible = f <= 0.0
             if feasible.all():

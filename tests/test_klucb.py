@@ -36,11 +36,11 @@ def invert_ref(mu_hat: float, pulls: float, delta: float, end: float) -> float:
         # is at most -1/2, floored by Pinsker's 2 t^2
         t = q - mu_hat
         one_q = 1.0 - q
-        a = t / (mu_hat if mu_hat > 1e-308 else 1e-308)
+        a = t / (mu_hat if mu_hat > 1e-300 else 1e-300)
         b = t / one_q
         d = (-mu_hat * (math.log1p(a) if a > -0.5 else math.log(q / mu_hat))
              + (1.0 - mu_hat) * (math.log1p(b) if b > -0.5
-                                 else math.log((1.0 - mu_hat or 1e-308) / one_q)))
+                                 else math.log((1.0 - mu_hat or 1e-300) / one_q)))
         return d if d > 2.0 * t * t else 2.0 * t * t
 
     near, far = mu_hat, end
@@ -64,8 +64,8 @@ def upper_many_ref(mu: np.ndarray, n: np.ndarray, delta: float) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         t = mid - mu
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = (-mu * np.log1p(t / np.maximum(mu, 1e-308))
-                 + (1.0 - mu) * np.log1p(t / np.maximum(1.0 - mid, 1e-308)))
+            d = (-mu * np.log1p(t / np.maximum(mu, 1e-300))
+                 + (1.0 - mu) * np.log1p(t / np.maximum(1.0 - mid, 1e-300)))
         feasible = n * np.maximum(d, 2.0 * t * t) <= delta
         lo = np.where(feasible, mid, lo)
         hi = np.where(feasible, hi, mid)
@@ -75,11 +75,11 @@ def upper_many_ref(mu: np.ndarray, n: np.ndarray, delta: float) -> np.ndarray:
 def div_many(mu: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``kl_ucb_upper_many``'s own divergence d(mu, q) for q >= mu, in
     t = q - mu: -mu*log1p(t/mu) + (1-mu)*log1p(t/(1-q)), floored by
-    Pinsker's 2 t^2, with mu and 1 - q clamped to 1e-308 where the term is 0."""
+    Pinsker's 2 t^2, with mu and 1 - q clamped to 1e-300 where the term is 0."""
     t = q - mu
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = (-mu * np.log1p(t / np.maximum(mu, 1e-308))
-             + (1.0 - mu) * np.log1p(t / np.maximum(1.0 - q, 1e-308)))
+        d = (-mu * np.log1p(t / np.maximum(mu, 1e-300))
+             + (1.0 - mu) * np.log1p(t / np.maximum(1.0 - q, 1e-300)))
     return np.maximum(d, 2.0 * t * t)
 
 
