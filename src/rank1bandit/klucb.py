@@ -13,8 +13,8 @@ It is computed once, in t = q - p, as
     d = -p*log1p(t/p) + (1-p)*log1p(t/(1-q)),
 
 each log taken as the log of its ratio instead where its argument is at or
-below -1/2 (q below p/2, or 1 - q above twice 1 - p), as log1p would lose
-it there.  Each term then rounds to a relative error of t, which moves a
+below -1/2 (q at most p/2, or 1 - q at least twice 1 - p), as log1p would
+lose it there.  Each term then rounds to a relative error of t, which moves a
 root of d by about an ulp; the form p*log p + (1-p)*log(1-p) - p*log q -
 (1-p)*log(1-q) rounds to an error of the entropy instead, larger than d
 itself once q is within about 1e-8 of p.  Where even eps*|t| hides d, an
