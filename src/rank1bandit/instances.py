@@ -159,10 +159,9 @@ class Environment:
         self._best_col = int(np.argmax(inst.v_bar))
         self._best_value = float(inst.u_bar[self._best_row] * inst.v_bar[self._best_col])
         self.block_steps = max(1, 32768 // self._span)
-        # the current block of uniforms, as drawn and as a list for step;
-        # _pos is the offset of its first unread uniform
+        # the current block of uniforms; _pos is the offset of its first
+        # unread uniform
         self._block = np.empty(0)
-        self._buf: list[float] = []
         self._pos = 0
         self.steps = 0
         self.cum_pseudo_regret = 0.0
@@ -183,16 +182,15 @@ class Environment:
         if j < 0 or j >= self._span - K:
             raise IndexError(f"column index {j} outside [0, {self._span - K})")
         pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            self._block = self._rng.random(self.block_steps * self._span)
-            buf = self._buf = self._block.tolist()
+        block = self._block
+        if pos >= len(block):
+            block = self._block = self._rng.random(self.block_steps * self._span)
             pos = 0
-        u_i = buf[pos + i] < self._u[i]
-        v_j = buf[pos + K + j] < self._v[j]
+        u_i = block[pos + i] < self._u[i]
+        v_j = block[pos + K + j] < self._v[j]
         reward = 1 if (u_i and v_j) else 0
         br, bc = self._best_row, self._best_col
-        if (buf[pos + br] < self._u[br]) and (buf[pos + K + bc] < self._v[bc]):
+        if (block[pos + br] < self._u[br]) and (block[pos + K + bc] < self._v[bc]):
             self.cum_stochastic_regret += 1 - reward
         else:
             self.cum_stochastic_regret -= reward
@@ -248,12 +246,12 @@ class Environment:
         """The next ``n`` uniforms of the stream: the unread rest of the
         current block first, then fresh draws."""
         pos, block = self._pos, self._block
-        avail = len(self._buf) - pos
+        avail = len(block) - pos
         if n <= avail:
             self._pos = pos + n
             return block[pos:pos + n]
         fresh = self._rng.random(n - avail)
-        self._pos = len(self._buf)
+        self._pos = len(block)
         return np.concatenate((block[pos:], fresh)) if avail else fresh
 
 

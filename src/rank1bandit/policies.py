@@ -167,11 +167,12 @@ class Rank1ElimKL(BlockPolicy):
     phase samples one column through the column redirection map and
     plays it against every surviving row, then the column phase samples
     one row through the row map and plays it against every surviving
-    column.  At a stage boundary each surviving mean estimate (total
-    count divided by the stage target) gets a confidence interval with
-    divergence budget ln(n) + 3*ln(ln(n)); anything whose upper bound
-    does not exceed the best lower bound collapses onto the leader, and
-    the success counts carry over unchanged.
+    column; once one row and one column survive, a phase takes them
+    without a draw.  At a stage boundary each surviving mean estimate
+    (total count divided by the stage target) gets a confidence interval
+    with divergence budget ln(n) + 3*ln(ln(n)); anything whose upper
+    bound does not exceed the best lower bound collapses onto the leader,
+    and the success counts carry over unchanged.
 
     Rows and columns are treated alike, so the state is indexed by side,
     0 for rows and 1 for columns: ``_S[side]`` counts each row's
@@ -239,7 +240,12 @@ class Rank1ElimKL(BlockPolicy):
 
     def _begin_phase(self, side: int) -> None:
         h = self._h[1 - side]
-        self._fixed = h[self.rng.integers(len(h))]
+        # once each side has one survivor every entry of h is that survivor,
+        # and survivors never grow back, so no output reads a draw
+        if len(self._survivors[0]) == len(self._survivors[1]) == 1:
+            self._fixed = h[0]
+        else:
+            self._fixed = h[self.rng.integers(len(h))]
         self._side = side
         self._pos = 0
 

@@ -18,39 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank1bandit.klucb import kl_div, kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
+from rank1bandit.klucb import _div, kl_div, kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
-
-
-def invert_ref(mu_hat: float, pulls: float, delta: float, end: float) -> float:
-    """Bit oracle of the scalar solvers: the bisection run for a fixed 100
-    iterations, with no stop at its fixed point.  Inputs must be valid."""
-    if delta == 0.0 or mu_hat == end:
-        return mu_hat
-
-    def div(q: float) -> float:
-        # d(mu_hat, q) in t = q - mu_hat, as -mu*log1p(t/mu) +
-        # (1-mu)*log1p(t/(1-q)), each log by its ratio where its argument
-        # is at most -1/2, floored by Pinsker's 2 t^2
-        t = q - mu_hat
-        one_q = 1.0 - q
-        a = t / (mu_hat if mu_hat > 1e-300 else 1e-300)
-        b = t / one_q
-        d = (-mu_hat * (math.log1p(a) if a > -0.5 else math.log(q / mu_hat))
-             + (1.0 - mu_hat) * (math.log1p(b) if b > -0.5
-                                 else math.log((1.0 - mu_hat or 1e-300) / one_q)))
-        return d if d > 2.0 * t * t else 2.0 * t * t
-
-    near, far = mu_hat, end
-    for _ in range(100):
-        mid = 0.5 * (near + far)
-        if 0.0 < mid < 1.0 and pulls * div(mid) <= delta:
-            near = mid
-        else:
-            far = mid
-    return near
 
 
 def upper_many_ref(mu: np.ndarray, n: np.ndarray, delta: float) -> np.ndarray:
@@ -83,31 +54,55 @@ def div_many(mu: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.maximum(d, 2.0 * t * t)
 
 
+def _log1p(x: Decimal) -> Decimal:
+    """log(1 + x) in the current context, by its series where 1 + x would
+    round away x's digits."""
+    if abs(x) > Decimal("1e-3"):
+        return (1 + x).ln()
+    return -sum((-x) ** k / k for k in range(1, 25))
+
+
 def decimal_root(mu: float, pulls: int, delta: float, end: float) -> float:
     """The root of pulls * d(mu, q) = delta between mu and ``end``, by a
-    60-digit ``decimal`` bisection of 220 steps, rounded to a double."""
+    60-digit ``decimal`` bisection of 220 steps, rounded to a double.
+
+    The bisection runs in q toward 1 and in log q toward 0, where a root
+    can lie hundreds of binades below mu.  d is taken in t = q - mu, as
+    -mu*log1p(t/mu) + (1-mu)*log1p(t/(1-q)), each log by its ratio where
+    its argument is at most -1/2, so that no digit of t is lost where q is
+    near mu or mu near 0 or 1."""
+    if delta == 0.0 or mu == end:
+        return mu
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        m, e = Decimal(mu), Decimal(end)
+        m = Decimal(mu)
         budget = Decimal(delta) / pulls
 
-        def d(q: Decimal) -> Decimal:
-            out = (1 - m) * ((1 - m) / (1 - q)).ln()
-            return out + m * (m / q).ln() if m > 0 else out
+        def log1p_ratio(x: Decimal, num: Decimal, den: Decimal) -> Decimal:
+            # log(1 + x) = log(num / den), by the ratio where 1 + x <= 1/2
+            return (num / den).ln() if x <= Decimal("-0.5") else _log1p(x)
 
-        near, far = m, e
+        def d(q: Decimal) -> Decimal:
+            t = q - m
+            out = (1 - m) * log1p_ratio(t / (1 - q), 1 - m, 1 - q) if m < 1 else 0
+            return out - m * log1p_ratio(t / m, q, m) if m > 0 else out
+
+        # bisect s, with q = point(s); the far end is infeasible
+        point = (lambda s: s) if end else Decimal.exp
+        near, far = (m, Decimal(1)) if end else (m.ln(), Decimal(-800))
         for _ in range(220):
             mid = (near + far) / 2
-            if d(mid) <= budget:
+            if d(point(mid)) <= budget:
                 near = mid
             else:
                 far = mid
-        return float(near)
+        return float(point(near))
 
 
-# a lane that kl_ucb_upper_many's Newton steps leave infeasible at their cap:
-# mu within 1e-13 of 1 and a budget per pull near 3e-20
+# a lane whose Newton steps stall an ulp above mu, which is the bound: mu
+# within 1e-13 of 1 and a budget per pull near 3e-20
 NEWTON_CAP = (0.9999999999999373, 82810, 2.825e-15)
+TINY = 2.0**-1022  # the smallest normal double, the lower bound's floor
 
 # pulls from 1 to 10^6, with the few-pull counts where a budget ratio
 # delta/pulls past 36.74 is reachable
@@ -286,11 +281,20 @@ class TestUpperSolver:
         assert kl_ucb_upper(mu, pulls, lo) <= kl_ucb_upper(mu, pulls, hi)
 
     def test_cap_floor_at_zero_estimate(self):
-        # a root nearer mu_hat than the cap's bracket (1 - mu_hat) * 2^-100
-        # comes back as mu_hat; the array form has no such floor
-        assert kl_ucb_upper(0.0, 3, 1e-300) == 0.0
+        # a root of 3.3e-301 is the closed form in both forms
+        assert kl_ucb_upper(0.0, 3, 1e-300) == -math.expm1(-1e-300 / 3)
         got = kl_ucb_upper_many(np.array([0.0]), np.array([3.0]), 1e-300)[0]
         assert got == -math.expm1(-1e-300 / 3)
+
+    def test_root_far_below_the_bracket(self):
+        # a root 21 orders of magnitude below the width of [mu, 1]
+        root = 2.058545020379596e-21
+        assert abs(kl_ucb_upper(0.0, 485780, 1e-15) - root) <= 4 * math.ulp(root)
+
+    def test_subnormal_root(self):
+        # a start of mu + sqrt(2 r v) underflows to 0 here
+        assert kl_ucb_upper(0.0, 1, 5e-324) == 5e-324
+        assert kl_ucb_upper_many(np.array([0.0]), np.array([1.0]), 5e-324)[0] == 5e-324
 
     def test_shrinks_with_more_pulls(self):
         us = [kl_ucb_upper(0.4, n, 3.0) for n in (10, 100, 1000, 10000)]
@@ -308,6 +312,21 @@ class TestLowerSolver:
         # d(1, q) = -log(q), so the bound is exp(-delta/pulls)
         assert kl_ucb_lower(1.0, 10, 2.0) == pytest.approx(math.exp(-0.2), abs=1e-12)
         assert kl_ucb_lower(1.0, 4, 0.9) == pytest.approx(math.exp(-0.225), abs=1e-12)
+        # 288 binades below mu
+        assert kl_ucb_lower(1.0, 1, 200.0) == pytest.approx(math.exp(-200.0), rel=1e-12, abs=0.0)
+
+    def test_start_on_the_mean(self):
+        # the start exp(-1e-300) rounds onto mu = 1, where 1 - q is 0
+        assert kl_ucb_lower(1.0, 1, 1e-300) == 1.0
+
+    def test_floor_at_the_smallest_normal(self):
+        # the root, about 1e-6 * exp(-10^5), is below 2^-1022: the bound
+        # stops there, where mu * log(mu / q) is still finite
+        assert kl_ucb_lower(1e-6, 1, 0.1) == TINY
+        assert kl_ucb_lower(1.0, 1, 1000.0) == TINY
+        # a subnormal mean is its own bound, never a value above it
+        for mu in (5e-324, 1e-310, TINY):
+            assert kl_ucb_lower(mu, 1, 1.0) == mu
 
     def test_round_trip_interior(self):
         for mu, pulls, delta in [(0.3, 50, 2.0), (0.5, 200, 5.0), (0.1, 1000, 0.7)]:
@@ -374,7 +393,7 @@ class TestVectorizedUpper:
     @settings(max_examples=200, deadline=None)
     @given(lanes=st.lists(mean_and_pulls(), max_size=40), delta=st.floats(0.0, 200.0))
     @example(lanes=[], delta=3.0)
-    @example(lanes=[(0.0, 1), (1e-20, 1), (0.5, 3)], delta=1e-15)  # the bisection runs to its cap
+    @example(lanes=[(0.0, 1), (1e-20, 1), (0.5, 3)], delta=1e-15)  # roots within 1e-15 of mu
     @example(lanes=[(0.0, 1), (1.0, 1), (5e-324, 2), (1.0 - 2**-53, 3), (0.25, 4)], delta=40.0)
     @example(lanes=[(NEWTON_CAP[0], NEWTON_CAP[1]), (0.5, 3)], delta=NEWTON_CAP[2])
     def test_precision_against_bisection(self, lanes, delta):
@@ -389,10 +408,11 @@ class TestVectorizedUpper:
         assert ((mu <= got) & (got <= 1.0)).all()
         assert (n * div_many(mu, got) <= delta).all()
 
-    def test_lane_past_the_newton_cap_takes_the_scalar_bisection(self):
+    def test_lane_that_stalls_above_the_mean_returns_the_mean(self):
         mu, pulls, delta = NEWTON_CAP
         got = kl_ucb_upper_many(np.array([mu, 0.5]), np.array([float(pulls), 3.0]), delta)
-        assert got[0].hex() == kl_ucb_upper(mu, pulls, delta).hex()
+        assert got[0] == mu
+        assert kl_ucb_upper(mu, pulls, delta) == mu
 
 
 class TestPrecisionNearTheMean:
@@ -413,24 +433,63 @@ class TestPrecisionNearTheMean:
         root = decimal_root(mu, pulls, delta, 1.0)
         many = kl_ucb_upper_many(np.array([mu]), np.array([float(pulls)]), delta)[0]
         assert abs(many - root) <= 4 * math.ulp(root)
-        # the scalar bounds, unless the cap's bracket is wider than 4 ulps
-        upper = kl_ucb_upper(mu, pulls, delta)
-        assert abs(upper - root) <= max(4 * math.ulp(root), (1.0 - mu) * 2.0**-100)
+        assert abs(kl_ucb_upper(mu, pulls, delta) - root) <= 4 * math.ulp(root)
         lower_root = decimal_root(mu, pulls, delta, 0.0)
         lower = kl_ucb_lower(mu, pulls, delta)
-        assert abs(lower - lower_root) <= max(4 * math.ulp(lower_root), mu * 2.0**-100)
+        if lower_root >= mu / 2:
+            assert abs(lower - lower_root) <= 4 * math.ulp(lower_root)
+        else:
+            # far below mu the rounding of log(q/mu) alone, 5.7e-14 at
+            # (1e-20, 188, 1e-15), where it is -533, spans 250 ulps of q
+            assert lower == pytest.approx(lower_root, rel=1e-12, abs=0.0)
 
 
-class TestFixedPointStop:
-    """The scalar solvers stop at the bisection's fixed point; their bits are
-    those of the fixed 100 iterations they replaced."""
+def _ulps_out(x: float, k: int, end: float) -> float:
+    for _ in range(k):
+        x = math.nextafter(x, end)
+    return x
+
+
+class TestScalarBounds:
+    """Both scalar bounds over degenerate, edge and empirical means and
+    budgets per pull on both sides of 36.74."""
 
     @settings(max_examples=300, deadline=None)
     @given(mp=mean_and_pulls(), ratio=BUDGET_RATIO)
-    @example(mp=(0.0, 1), ratio=1e-29)  # runs to the cap; a shorter cap moves its bits
+    @example(mp=(0.0, 1), ratio=1e-29)
     @example(mp=(1.0, 1), ratio=40.0)
-    def test_scalar_bits(self, mp, ratio):
+    @example(mp=NEWTON_CAP[:2], ratio=NEWTON_CAP[2] / NEWTON_CAP[1])
+    @example(mp=(1e-160, 1), ratio=1e-160)  # f * q underflows near the root
+    @example(mp=(1.275163705955491e-303, 1), ratio=1.275163705955491e-303)  # mu below 1e-300
+    def test_upper_is_feasible_and_maximal(self, mp, ratio):
         mu, pulls = mp
         delta = ratio * pulls
-        assert kl_ucb_upper(mu, pulls, delta).hex() == invert_ref(mu, pulls, delta, 1.0).hex()
-        assert kl_ucb_lower(mu, pulls, delta).hex() == invert_ref(mu, pulls, delta, 0.0).hex()
+        up = kl_ucb_upper(mu, pulls, delta)
+        assert mu <= up <= 1.0
+        assert up == mu or pulls * _div(mu, up) <= delta
+        # 8 ulps further out is infeasible, wherever d there is a normal
+        # double: below 2^-1022 it has lost its relative precision, and it
+        # underflows to 0 a few ulps from a mean below about 1e-290
+        out = _ulps_out(up, 8, 1.0)
+        if out < 1.0 and _div(mu, out) >= TINY:
+            assert pulls * _div(mu, out) > delta
+
+    @settings(max_examples=200, deadline=None)
+    @given(mp=mean_and_pulls(), ratio=BUDGET_RATIO)
+    @example(mp=(1e-20, 188), ratio=1e-15 / 188)
+    @example(mp=(1.0, 1), ratio=200.0)
+    @example(mp=(1e-6, 1), ratio=0.1)
+    def test_lower_is_feasible_and_matches_the_root(self, mp, ratio):
+        # where q << mu the bound is conditioned far worse than the upper
+        # one (the rounding of d spans tens of ulps of q), so it is checked
+        # against the reference rather than its neighbours
+        mu, pulls = mp
+        delta = ratio * pulls
+        lo = kl_ucb_lower(mu, pulls, delta)
+        assert 0.0 <= lo <= mu
+        assert lo == mu or pulls * _div(mu, lo) <= delta
+        root = decimal_root(mu, pulls, delta, 0.0)
+        if root >= TINY:
+            assert lo == pytest.approx(root, rel=1e-12, abs=0.0)
+        else:
+            assert lo == min(mu, TINY)
