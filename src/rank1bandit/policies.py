@@ -135,11 +135,12 @@ class BlockPolicy(Policy):
         if rewards.shape != plan.rows.shape:
             raise ProtocolError(
                 f"{rewards.size} rewards for a block of {plan.rows.size} arms")
-        if ((rewards != 0) & (rewards != 1)).any():
+        hits = rewards.astype(bool)
+        if (hits != rewards).any():
             raise ValueError("rewards must be 0 or 1")
         self._pending = None
         self.t += plan.rows.size
-        self._commit(rewards.astype(bool), plan.state)
+        self._commit(hits, plan.state)
 
     def _plan(self, limit: int):
         raise NotImplementedError
@@ -163,25 +164,30 @@ class Rank1ElimKL(BlockPolicy):
     """Stagewise elimination on rows and columns with divergence intervals.
 
     Stage targets grow as ceil(16 * 4^stage * ln(horizon)) observations
-    per surviving row and column.  Each round has two phases: the row
-    phase samples one column through the column redirection map and
-    plays it against every surviving row, then the column phase samples
-    one row through the row map and plays it against every surviving
-    column; once one row and one column survive, a phase takes them
-    without a draw.  At a stage boundary each surviving mean estimate
-    (total count divided by the stage target) gets a confidence interval
-    with divergence budget ln(n) + 3*ln(ln(n)); anything whose upper
-    bound does not exceed the best lower bound collapses onto the leader,
-    and the success counts carry over unchanged.
+    per surviving row and column.  Each round plays one column, sampled
+    through the column redirection map, against every surviving row, then
+    one row, sampled through the row map, against every surviving column;
+    both are drawn, column first, as the round begins, and once one row
+    and one column survive they are taken without a draw.  At a stage
+    boundary each surviving mean estimate (total count divided by the
+    stage target) gets a confidence interval with divergence budget
+    ln(n) + 3*ln(ln(n)); anything whose upper bound does not exceed the
+    best lower bound collapses onto the leader, and the success counts
+    carry over unchanged.
 
     Rows and columns are treated alike, so the state is indexed by side,
     0 for rows and 1 for columns: ``_S[side]`` counts each row's
-    successes in the row phases (each column's in the column phases),
-    the only totals ever read, ``_h[side]`` is the redirection map and
-    ``_survivors[side]`` its sorted image.  The current phase plays the
-    other side's ``_fixed`` against ``_survivors[_side]`` from position
-    ``_pos`` on.  ``plan`` walks the phases forward up to at most the
-    stage boundary, whose elimination needs the rewards.
+    successes in the rounds' row steps (each column's in the column
+    steps), the only totals ever read, ``_h[side]`` is the redirection
+    map and ``_survivors[side]`` its sorted image.  A round walks
+    ``_walk``, the surviving rows then the surviving columns, so step
+    ``_pos`` of a stage is round ``_pos // len(_walk)`` at offset
+    ``o = _pos % len(_walk)``: with R surviving rows it plays row ``o``
+    against the round's column if o < R, else the round's row against
+    column ``o - R``.  A round's pair is drawn when its first step, o = 0,
+    is selected or planned, and ``_pair`` holds the (column, row) pair of
+    the last round begun.  ``plan`` covers at most the rest of the stage,
+    whose elimination needs the rewards.
     """
 
     name = "rank1elimkl"
@@ -197,9 +203,8 @@ class Rank1ElimKL(BlockPolicy):
         self._survivors = [list(range(n)) for n in sizes]
         self._stage = 0
         self._n_target = math.ceil(16.0 * log_n)
-        self._rounds_left = self._n_target
         self.stage_log: list[StageRecord] = []
-        self._begin_phase(0)
+        self._begin_stage(self._n_target)
 
     # read-only views used by tests and experiment reports
     @property
@@ -224,12 +229,12 @@ class Rank1ElimKL(BlockPolicy):
 
     @property
     def row_successes(self) -> list[int]:
-        """Successes of each row over its row-phase observations so far."""
+        """Successes of each row over its row-step observations so far."""
         return list(self._S[0])
 
     @property
     def col_successes(self) -> list[int]:
-        """Successes of each column over its column-phase observations so far."""
+        """Successes of each column over its column-step observations so far."""
         return list(self._S[1])
 
     def confidence_bounds(self, mu_hat: float, pulls: int) -> tuple[float, float]:
@@ -238,66 +243,59 @@ class Rank1ElimKL(BlockPolicy):
             kl_ucb_upper(mu_hat, pulls, self.budget),
         )
 
-    def _begin_phase(self, side: int) -> None:
-        h = self._h[1 - side]
-        # once each side has one survivor every entry of h is that survivor,
-        # and survivors never grow back, so no output reads a draw
-        if len(self._survivors[0]) == len(self._survivors[1]) == 1:
-            self._fixed = h[0]
-        else:
-            self._fixed = h[self.rng.integers(len(h))]
-        self._side = side
+    def _begin_stage(self, rounds: int) -> None:
+        self._walk = np.array(self._survivors[0] + self._survivors[1])
+        self._stage_end = rounds * len(self._walk)
         self._pos = 0
 
-    def _end_phase(self) -> bool:
-        """Begin the next phase, or return True at a stage boundary, which
-        the caller crosses once the phase's rewards are in."""
-        if self._side:
-            self._rounds_left -= 1
-            if self._rounds_left == 0:
-                return True
-        self._begin_phase(1 - self._side)
-        return False
+    def _draw(self, n: int) -> list[tuple[int, int]]:
+        """The (column, row) pairs of the next n rounds, each drawn through
+        the maps, column first; with one row and one column left, none is
+        drawn."""
+        rows, cols = self._h
+        if len(self._walk) == 2:
+            # every entry of either map is its side's one survivor, and
+            # survivors never grow back, so no output could read a draw
+            return [(cols[0], rows[0])] * n
+        return [(cols[self.rng.integers(len(cols))], rows[self.rng.integers(len(rows))])
+                for _ in range(n)]
 
     def _select(self) -> tuple[int, int]:
-        k = self._survivors[self._side][self._pos]
-        return (self._fixed, k) if self._side else (k, self._fixed)
+        rows = self._survivors[0]
+        o = self._pos % len(self._walk)
+        if o == 0:
+            self._pair = self._draw(1)[0]
+        if o < len(rows):
+            return rows[o], self._pair[0]
+        return self._pair[1], self._survivors[1][o - len(rows)]
 
     def _update(self, i: int, j: int, reward: int) -> None:
-        side = self._side
         if reward:
+            side = self._pos % len(self._walk) >= len(self._survivors[0])
             self._S[side][j if side else i] += 1
         self._pos += 1
-        if self._pos == len(self._survivors[side]) and self._end_phase():
+        if self._pos == self._stage_end:
             self._advance_stage()
 
     def _plan(self, limit: int):
-        # Walks the phases forward, drawing each one's fixed index as it
-        # begins, and stops at the stage boundary, which ``_commit``
-        # crosses once the rewards are in.
-        walked: list[int] = []
-        fixed: list[int] = []
-        sides: list[int] = []
-        lens: list[int] = []
-        boundary = False
-        while len(walked) < limit:
-            side = self._side
-            seq = self._survivors[side]
-            take = seq[self._pos:self._pos + limit - len(walked)]
-            walked += take
-            fixed.append(self._fixed)
-            sides.append(side)
-            lens.append(len(take))
-            self._pos += len(take)
-            if self._pos == len(seq) and self._end_phase():
-                boundary = True
-                break
-        step_sides = np.repeat(np.array(sides, dtype=bool), lens)
-        step_walked = np.array(walked, dtype=np.int64)
-        step_fixed = np.repeat(np.array(fixed, dtype=np.int64), lens)
-        rows = np.where(step_sides, step_fixed, step_walked)
-        cols = np.where(step_sides, step_walked, step_fixed)
-        return rows, cols, (step_sides, step_walked, boundary)
+        pos = self._pos
+        self._pos = end = min(pos + limit, self._stage_end)
+        width = len(self._walk)
+        o0 = pos % width
+        # the block's rounds, counted from the one it begins in, and the
+        # offsets within them
+        rnd, o = np.divmod(np.arange(o0, o0 + end - pos), width)
+        # their pairs: the last one drawn if the block begins mid-round,
+        # then one drawn for each round the block begins
+        pairs = [self._pair] if o0 else []
+        pairs += self._draw(int(rnd[-1]) + 1 - len(pairs))
+        self._pair = pairs[-1]
+        pairs = np.array(pairs)
+        sides = o >= len(self._survivors[0])
+        walked = self._walk[o]
+        rows = np.where(sides, pairs[:, 1][rnd], walked)
+        cols = np.where(sides, walked, pairs[:, 0][rnd])
+        return rows, cols, (sides, walked, end == self._stage_end)
 
     def _commit(self, hits, state) -> None:
         sides, walked, boundary = state
@@ -307,8 +305,8 @@ class Rank1ElimKL(BlockPolicy):
             self._advance_stage()
 
     def _advance_stage(self) -> None:
-        """Eliminate on both sides, then begin the next stage's first round.
-        Every success count is checked before anything changes."""
+        """Eliminate on both sides, then begin the next stage.  Every
+        success count is checked before anything changes."""
         n_obs = self._n_target
         for kind, survivors, counts in zip(("row", "column"), self._survivors, self._S):
             for k in survivors:
@@ -335,8 +333,7 @@ class Rank1ElimKL(BlockPolicy):
         )
         self._stage += 1
         self._n_target = math.ceil(16.0 * 4.0**self._stage * self._log_n)
-        self._rounds_left = self._n_target - n_obs
-        self._begin_phase(0)
+        self._begin_stage(self._n_target - n_obs)
 
 
 class Rank1Elim(Rank1ElimKL):

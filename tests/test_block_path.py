@@ -7,6 +7,7 @@ give the same bits, draw the same uniforms and leave the same state.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -34,8 +35,9 @@ mean_vectors = st.lists(st.sampled_from(MEANS), min_size=1, max_size=6)
 
 
 def policy_state(pol) -> dict:
-    """Everything a block or step can change, through public accessors."""
-    state = {"t": pol.t}
+    """Everything a block or step can change: the public accessors and the
+    policy generator's state, so both paths must also draw alike."""
+    state = {"t": pol.t, "rng": pol.rng.bit_generator.state}
     if hasattr(pol, "stage_log"):
         state.update(
             stage_log=list(pol.stage_log),
@@ -331,3 +333,64 @@ def test_mixed_protocols_leave_the_per_step_state(u, v, name, seed, moves):
             ref.update(arm, env_ref.step(*arm))
         assert policy_state(mixed) == policy_state(ref)
         assert env_mixed.cum_pseudo_regret == env_ref.cum_pseudo_regret
+
+
+class CountingRng:
+    """A policy generator that counts its ``integers`` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+def draws_expected(pol) -> int:
+    """Two draws per round begun before the horizon in a stage with more
+    than one row or column, from the stage log and the schedule alone."""
+    draws, start, width, done = 0, 0, pol.K + pol.L, 0
+    for stage in range(pol.stage + 1):
+        target = math.ceil(16.0 * 4.0**stage * math.log(pol.horizon))
+        begun = min(target - done, -(-(pol.horizon - start) // width))
+        if width > 2:
+            draws += 2 * begun
+        if stage < len(pol.stage_log):
+            rec = pol.stage_log[stage]
+            start, width, done = rec.steps, len(rec.rows) + len(rec.cols), rec.n_obs
+    return draws
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+@pytest.mark.parametrize(
+    "u, v, horizon",
+    [
+        # one row and one column are left after stage 0 (at step 685), and
+        # the run goes on to the horizon with no draw
+        ([1.0, 0.0, 0.0], [1.0, 0.0], 5000),
+        # ties keep every row and column; the horizon cuts round 36 of
+        # stage 0 after its first step
+        ([0.5, 0.5], [0.5, 0.5, 0.5], 176),
+    ],
+)
+def test_two_draws_per_round_begun_and_none_at_one_by_one(u, v, horizon, blocks):
+    inst = Rank1Instance(u_bar=u, v_bar=v)
+    env = Environment(inst, np.random.default_rng(7))
+    rng = CountingRng(8)
+    pol = Rank1ElimKL(inst.K, inst.L, horizon, rng)
+    collapsed_at = None
+    while pol.t < horizon:
+        if blocks:
+            play_block(pol, env, 64)
+        else:
+            arm = pol.select()
+            pol.update(arm, env.step(*arm))
+        if collapsed_at is None and len(pol.remaining_rows) == len(pol.remaining_cols) == 1:
+            collapsed_at = rng.calls
+    assert rng.calls == draws_expected(pol)
+    if u[1] == 0.0:
+        assert pol.stage_log[0].steps == 685 and collapsed_at == rng.calls == 2 * 137
+    else:
+        assert rng.calls == 2 * 36 and collapsed_at is None
