@@ -191,12 +191,11 @@ def kl_ucb_upper_many(mu_hat: np.ndarray, pulls: np.ndarray, delta: float) -> np
     with mu_hat within 1e-13 of 1 and a budget per pull near 1e-20 does,
     returns mu_hat.  mu_hat = 1 gives 1 and delta = 0 gives mu_hat.
 
-    A lane can end a few ulps from ``kl_ucb_upper`` (84 of the 5,000
-    triples above, by 5 ulps at most): the scalar form divides before it
-    multiplies in the Newton step, and takes the entropy's 1 - mu term by
-    log1p.  Where mu_hat and the budget per pull are both below about
-    1e-150 that matters: this form stops short of the root, at (1e-160, 1,
-    1e-160) by 1e-5 of it.
+    The arithmetic is the scalar form's, down to the order of each
+    product, so a lane ends where ``kl_ucb_upper`` does but for the last
+    bits of numpy's log, log1p and expm1, which can round apart from the
+    math module's: 108 lanes of a seeded scan of 5,000 triples drawn as
+    above ended apart, by 4 ulps at most.
     """
     mu = np.asarray(mu_hat, dtype=float)
     n = np.asarray(pulls, dtype=float)
@@ -207,17 +206,17 @@ def kl_ucb_upper_many(mu_hat: np.ndarray, pulls: np.ndarray, delta: float) -> np
     delta = _check_at_least(delta, "delta", 0.0)
     r = delta / n
     one_mu = 1.0 - mu
-    # as in _div, the clamp keeps t/mu finite where mu is 0 or below 1e-300
-    mu_c = np.maximum(mu, 1e-300)
+    # as in _div, the clamp keeps t/mu finite where mu is 0 or below 2^-1022
+    mu_c = np.maximum(mu, _TINY)
     grow = 2.0**-56
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        base = mu * np.log(mu_c) + one_mu * np.log(one_mu)
+        base = mu * np.log(mu_c) + one_mu * np.log1p(-mu)
         # start above the root: d >= base + (1-mu) s bounds it (the closed
         # form at mu = 0, nan and skipped at mu = 1), and so does
         # d >= (q-mu)^2 / (2v) for any v >= x(1-x) on [mu, q], such as q and
         # m(1-m) with m = max(mu, 1/2); each square root is taken of its
         # factors, so that a subnormal budget does not underflow
-        x = np.fmin(-np.expm1((base - r) / one_mu), mu + r + np.sqrt(r * (r + 2.0 * mu)))
+        x = np.fmin(-np.expm1((base - r) / one_mu), mu + r + np.sqrt(r) * np.sqrt(r + 2.0 * mu))
         v = np.maximum(mu, 0.5) * np.minimum(one_mu, 0.5)
         x = np.minimum(x, mu + np.sqrt(2.0 * r) * np.sqrt(v))
         # below 1, where d is infinite, except at mu = 1, where d(1, 1) = 0
@@ -233,7 +232,7 @@ def kl_ucb_upper_many(mu_hat: np.ndarray, pulls: np.ndarray, delta: float) -> np
                 return x
             # the step ds = f / f'(s) scales 1 - q by exp(ds); infeasible
             # lanes have f > 0 and fall
-            step = x - one_x * np.expm1(f * x / (n * t))
+            step = x - one_x * np.expm1(f / (n * t) * x)
             # at least one ulp down, doubling after the fourth step, so that a
             # step lost to rounding cannot stall a lane
             step = np.minimum(step, x * (1.0 - max(grow, 2.0**-52)))
