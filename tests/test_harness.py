@@ -86,6 +86,11 @@ class TestDefaultCheckpoints:
     def test_small_horizon_collapses_to_every_step(self):
         assert default_checkpoints(5) == [1, 2, 3, 4, 5]
 
+    def test_horizon_must_be_positive(self):
+        assert default_checkpoints(1) == [1]
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            default_checkpoints(0)
+
 
 class TestConfig:
     def test_defaults(self):
@@ -147,6 +152,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="weird"):
             load_config(path)
 
+    def test_load_config_rejects_bad_json(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"policy": "ucb1",', encoding="utf-8")
+        with pytest.raises(ValueError, match="is not valid JSON"):
+            load_config(path)
+
+    def test_load_config_requires_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(["needle:K=2,L=2,p=0.25,gap=0.5", "ucb1", 500]),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="must contain a JSON object"):
+            load_config(path)
+
     def test_load_config_requires_core_fields(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"policy": "ucb1", "horizon": 500}), encoding="utf-8")
@@ -194,6 +212,10 @@ class TestRunOne:
         a = run_one(cfg, 0)
         b = run_one(cfg, 0)
         assert a == b
+
+    def test_negative_run_index(self):
+        with pytest.raises(ValueError, match="run_index must be nonnegative"):
+            run_one(small_config(), -1)
 
     def test_seed_fields(self):
         trace = run_one(small_config(), 2)
@@ -256,6 +278,18 @@ class TestRunMany:
         assert seq.mean_pseudo_regret == par.mean_pseudo_regret
         assert seq.stderr_stochastic_regret == par.stderr_stochastic_regret
 
+    def test_jobs_from_the_environment_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("RANK1BANDIT_JOBS", "two")
+        with pytest.raises(ValueError, match="RANK1BANDIT_JOBS must be an integer, got 'two'"):
+            run_many(small_config())
+
+    def test_jobs_must_be_at_least_one(self, monkeypatch):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_many(small_config(), jobs=0)
+        monkeypatch.setenv("RANK1BANDIT_JOBS", "0")
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_many(small_config())
+
     def test_metrics_echoed(self):
         res = run_many(small_config())
         assert res.metrics is not None
@@ -313,3 +347,24 @@ class TestCsv:
         write_trace_csv(res, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1
+
+    def test_read_rejects_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="is empty; expected a CSV header"):
+            read_trace_csv(path)
+
+    def test_read_rejects_another_header(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("step,mean,stderr\n1,0.5,0.1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unexpected header"):
+            read_trace_csv(path)
+
+    def test_read_rejects_a_short_row(self, tmp_path):
+        res = run_many(small_config())
+        path = tmp_path / "short.csv"
+        write_trace_csv(res, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("500,1.0,0.0\n")
+        with pytest.raises(ValueError, match="expected 5 columns, got 3"):
+            read_trace_csv(path)

@@ -86,6 +86,12 @@ class TestRank1Instance:
         with pytest.raises(ValueError):
             Rank1Instance(u_bar=[0.5], v_bar=[-0.1])
 
+    def test_rejects_non_numeric(self):
+        with pytest.raises(ValueError, match="mean vectors must be numeric"):
+            Rank1Instance(u_bar=["high", 0.5], v_bar=[0.5])
+        with pytest.raises(ValueError, match="mean vectors must be numeric"):
+            Rank1Instance(u_bar=[0.5], v_bar=[[0.5, 0.2], 0.3])
+
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError):
             Rank1Instance(u_bar=[], v_bar=[0.5])
@@ -106,6 +112,12 @@ class TestGenerators:
             needle_instance(2, 2, p_u=0.25, p_v=0.25, delta_u=0.0, delta_v=0.5)
         with pytest.raises(ValueError):
             needle_instance(0, 2, p_u=0.25, p_v=0.25, delta_u=0.5, delta_v=0.5)
+
+    def test_geometric_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            pbm_like_instance(0, 3, head_mass=0.8, decay=0.5)
+        with pytest.raises(ValueError, match="L must be a positive integer"):
+            pbm_like_instance(3, 2.5, head_mass=0.8, decay=0.5)
 
     def test_geometric_decay_means(self):
         inst = pbm_like_instance(3, 3, head_mass=0.8, decay=0.5)
@@ -235,6 +247,12 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="empty|nonempty"):
             load_instance(path)
 
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([[0.5], [0.5]]), encoding="utf-8")
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            load_instance(path)
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "nokey.json"
         path.write_text(json.dumps({"u": [0.5]}), encoding="utf-8")
@@ -282,6 +300,18 @@ class TestInstanceSpec:
         save_instance(inst, path)
         back = parse_instance_spec(str(path))
         np.testing.assert_array_equal(back.u_bar, inst.u_bar)
+
+    def test_field_without_value(self):
+        with pytest.raises(ValueError, match="bad needle spec field 'L8', expected key=value"):
+            parse_instance_spec("needle:K=8,L8,p=0.25,gap=0.5")
+        with pytest.raises(ValueError, match="bad pbm-like spec field"):
+            parse_instance_spec("pbm-like:K=3,L=3,head_mass=0.8,")
+
+    def test_non_numeric_value(self):
+        with pytest.raises(ValueError, match="needle spec: K must be an integer, got 'eight'"):
+            parse_instance_spec("needle:K=eight,L=8,p=0.25,gap=0.5")
+        with pytest.raises(ValueError, match="pbm-like spec: decay must be a number, got 'slow'"):
+            parse_instance_spec("pbm-like:K=3,L=3,head_mass=0.8,decay=slow")
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):

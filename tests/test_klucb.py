@@ -375,6 +375,15 @@ class TestVectorizedUpper:
                 kl_ucb_upper(float(mus[k]), int(pulls[k]), delta), abs=1e-12
             )
 
+    def test_domain_errors(self):
+        mu, pulls = np.array([0.5, 0.2]), np.array([3.0, 1.0])
+        for bad in (-0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"mu_hat entries must lie in \[0, 1\]"):
+                kl_ucb_upper_many(np.array([0.5, bad]), pulls, 1.0)
+        for bad in (0.5, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="pulls entries must be finite counts >= 1"):
+                kl_ucb_upper_many(mu, np.array([3.0, bad]), 1.0)
+
     def test_zero_budget(self):
         mus = np.array([0.0, 0.3, 1.0])
         out = kl_ucb_upper_many(mus, np.array([5, 5, 5]), 0.0)

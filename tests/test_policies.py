@@ -64,6 +64,20 @@ class TestProtocol:
             with pytest.raises(ValueError):
                 cls(2, 2, 4, np.random.default_rng(0))
 
+    def test_grid_shape_must_be_positive_integers(self):
+        for K, L in [(0, 2), (2, 0), (2.5, 2), (2, -1)]:
+            for cls in POLICIES.values():
+                with pytest.raises(ValueError, match="K and L must be positive integers"):
+                    cls(K, L, 10, np.random.default_rng(0))
+
+    def test_update_rejects_a_non_binary_reward(self):
+        for cls in POLICIES.values():
+            for reward in (2, -1, 0.5):
+                pol = cls(2, 2, 10, np.random.default_rng(0))
+                arm = pol.select()
+                with pytest.raises(ValueError, match="reward must be 0 or 1"):
+                    pol.update(arm, reward)
+
     def test_select_past_horizon(self):
         pol = UCB1(1, 1, 5, np.random.default_rng(0))
         env = zero_noise_env([1.0], [1.0])
