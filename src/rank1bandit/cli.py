@@ -170,8 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     met.set_defaults(func=cmd_metrics)
 
+    # the options every simulation takes, shared by run and sweep
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--horizon", type=int, required=True)
+    runs.add_argument("--runs", type=int, default=20)
+    runs.add_argument("--seed", type=int, default=0, help="master seed")
+    runs.add_argument("--jobs", type=int, default=None,
+                      help="worker processes (default: RANK1BANDIT_JOBS "
+                           "or the logical processor count)")
+
     run = sub.add_parser(
         "run",
+        parents=[runs],
         help="run one policy on one instance and write a regret CSV",
         description="Run repeated seeded simulations and write the aggregate "
                     "regret trace as CSV.",
@@ -179,17 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--instance", required=True,
                      help="instance file path or inline generator spec")
     run.add_argument("--policy", choices=_POLICY_NAMES, required=True)
-    run.add_argument("--horizon", type=int, required=True)
-    run.add_argument("--runs", type=int, default=20)
-    run.add_argument("--seed", type=int, default=0, help="master seed")
-    run.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: RANK1BANDIT_JOBS "
-                          "or the logical processor count)")
     run.add_argument("--out", required=True, help="output CSV path")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser(
         "sweep",
+        parents=[runs],
         help="run a (policy, size) grid of needle experiments",
         description="Run every policy on square needle instances of every "
                     "size, writing {policy}_{K}x{L}.csv per cell.",
@@ -202,12 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="needle baseline mean (default 0.25)")
     sweep.add_argument("--gap", type=float, default=0.5,
                        help="needle gap (default 0.5)")
-    sweep.add_argument("--horizon", type=int, required=True)
-    sweep.add_argument("--runs", type=int, default=20)
-    sweep.add_argument("--seed", type=int, default=0, help="master seed")
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: RANK1BANDIT_JOBS "
-                            "or the logical processor count)")
     sweep.add_argument("--out-dir", required=True, help="output directory")
     sweep.set_defaults(func=cmd_sweep)
 
