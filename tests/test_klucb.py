@@ -35,7 +35,7 @@ def upper_many_ref(mu: np.ndarray, n: np.ndarray, delta: float) -> np.ndarray:
         mid = 0.5 * (lo + hi)
         t = mid - mu
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = (-mu * np.log1p(t / np.maximum(mu, 1e-300))
+            d = (-mu * np.log1p(t / np.maximum(mu, TINY))
                  + (1.0 - mu) * np.log1p(t / np.maximum(1.0 - mid, 1e-300)))
         feasible = n * np.maximum(d, 2.0 * t * t) <= delta
         lo = np.where(feasible, mid, lo)
@@ -46,10 +46,11 @@ def upper_many_ref(mu: np.ndarray, n: np.ndarray, delta: float) -> np.ndarray:
 def div_many(mu: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``kl_ucb_upper_many``'s own divergence d(mu, q) for q >= mu, in
     t = q - mu: -mu*log1p(t/mu) + (1-mu)*log1p(t/(1-q)), floored by
-    Pinsker's 2 t^2, with mu and 1 - q clamped to 1e-300 where the term is 0."""
+    Pinsker's 2 t^2, with mu clamped to 2^-1022 as in the solver (the term
+    it enters is then below 2e-305) and 1 - q to 1e-300."""
     t = q - mu
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = (-mu * np.log1p(t / np.maximum(mu, 1e-300))
+        d = (-mu * np.log1p(t / np.maximum(mu, TINY))
              + (1.0 - mu) * np.log1p(t / np.maximum(1.0 - q, 1e-300)))
     return np.maximum(d, 2.0 * t * t)
 
@@ -405,6 +406,7 @@ class TestVectorizedUpper:
     @example(lanes=[(0.0, 1), (1e-20, 1), (0.5, 3)], delta=1e-15)  # roots within 1e-15 of mu
     @example(lanes=[(0.0, 1), (1.0, 1), (5e-324, 2), (1.0 - 2**-53, 3), (0.25, 4)], delta=40.0)
     @example(lanes=[(NEWTON_CAP[0], NEWTON_CAP[1]), (0.5, 3)], delta=NEWTON_CAP[2])
+    @example(lanes=[(5e-324, 1)], delta=TINY)  # a subnormal mean, clamped in the divergence
     def test_precision_against_bisection(self, lanes, delta):
         # 1e-9 is the benchmark's KL_TOL; feasibility is exact in the
         # solver's own divergence
