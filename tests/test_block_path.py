@@ -365,32 +365,33 @@ def draws_expected(pol) -> int:
 
 @pytest.mark.parametrize("blocks", [False, True])
 @pytest.mark.parametrize(
-    "u, v, horizon",
+    "u, v, horizon, draws, collapse_step",
     [
-        # one row and one column are left after stage 0 (at step 685), and
-        # the run goes on to the horizon with no draw
-        ([1.0, 0.0, 0.0], [1.0, 0.0], 5000),
+        # one row and one column are left after stage 0's 137 rounds, at
+        # step 685, and the run goes on to the horizon with no draw
+        ([1.0, 0.0, 0.0], [1.0, 0.0], 5000, 2 * 137, 685),
         # ties keep every row and column; the horizon cuts round 36 of
         # stage 0 after its first step
-        ([0.5, 0.5], [0.5, 0.5, 0.5], 176),
+        ([0.5, 0.5], [0.5, 0.5, 0.5], 176, 2 * 36, None),
     ],
 )
-def test_two_draws_per_round_begun_and_none_at_one_by_one(u, v, horizon, blocks):
+def test_two_draws_per_round_begun_and_none_at_one_by_one(
+        u, v, horizon, draws, collapse_step, blocks):
     inst = Rank1Instance(u_bar=u, v_bar=v)
     env = Environment(inst, np.random.default_rng(7))
     rng = CountingRng(8)
     pol = Rank1ElimKL(inst.K, inst.L, horizon, rng)
-    collapsed_at = None
+    calls_at_collapse = None
     while pol.t < horizon:
         if blocks:
             play_block(pol, env, 64)
         else:
             arm = pol.select()
             pol.update(arm, env.step(*arm))
-        if collapsed_at is None and len(pol.remaining_rows) == len(pol.remaining_cols) == 1:
-            collapsed_at = rng.calls
-    assert rng.calls == draws_expected(pol)
-    if u[1] == 0.0:
-        assert pol.stage_log[0].steps == 685 and collapsed_at == rng.calls == 2 * 137
+        if calls_at_collapse is None and len(pol.remaining_rows) == len(pol.remaining_cols) == 1:
+            calls_at_collapse = rng.calls
+    assert rng.calls == draws_expected(pol) == draws
+    if collapse_step is None:
+        assert calls_at_collapse is None
     else:
-        assert rng.calls == 2 * 36 and collapsed_at is None
+        assert pol.stage_log[0].steps == collapse_step and calls_at_collapse == draws

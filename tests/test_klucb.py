@@ -419,18 +419,18 @@ class TestVectorizedUpper:
         assert ((mu <= got) & (got <= 1.0)).all()
         assert (n * div_many(mu, got) <= delta).all()
 
-    @pytest.mark.parametrize("mu, root", [
+    @pytest.mark.parametrize("mu, bound", [
         (1e-160, 3.146193220620582e-160),
         (1e-200, 3.1461932206205823e-200),
         (1.275163705955491e-303, 4.0119114068585835e-303),
     ])
-    def test_tiny_mean_and_budget_reach_the_root(self, mu, root):
-        # one pull and a budget equal to the mean; the roots are a 90-digit
-        # mpmath bisection's, rounded.  The Newton product f * x / (n * t)
-        # underflowed here, and the start mu + r + sqrt(r * (r + 2 mu))
-        # fell to mu + r, inside the feasible set
+    def test_tiny_mean_and_budget_reach_the_root(self, mu, bound):
+        # one pull and a budget equal to the mean; each bound is within an
+        # ulp inside a 90-digit mpmath root.  The Newton product
+        # f * x / (n * t) underflowed here, and the start
+        # mu + r + sqrt(r * (r + 2 mu)) fell to mu + r, inside the feasible set
         got = kl_ucb_upper_many(np.array([mu, 0.5]), np.array([1.0, 3.0]), mu)
-        assert got[0] == root == kl_ucb_upper(mu, 1, mu)
+        assert got[0] == bound == kl_ucb_upper(mu, 1, mu)
 
     def test_lane_that_stalls_above_the_mean_returns_the_mean(self):
         mu, pulls, delta = NEWTON_CAP
