@@ -196,8 +196,9 @@ def run_one(config: ExperimentConfig, run_index: int) -> RegretTrace:
     """Play one seeded run to the horizon, recording regret at checkpoints.
 
     Policies with a ``plan`` method are played a block at a time through
-    ``Environment.play``, each block at most ``env.block_steps`` long;
-    the others one step at a time.  Both paths give the same bits.
+    ``Environment.play``, each block at most ``env.block_steps`` steps
+    long (4,096, or one chunk of uniforms if that holds more steps); the
+    others one step at a time.  Both paths give the same bits.
     """
     if run_index < 0:
         raise ValueError("run_index must be nonnegative")

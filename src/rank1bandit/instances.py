@@ -137,15 +137,16 @@ class Environment:
     realizing the full Bernoulli vectors u_t and v_t; the reward of pair
     (i, j) is u_t[i] * v_t[j].  The stochastic regret compares the
     played pair against the best pair on the same draws; the pseudo
-    regret compares expected values.  Uniforms are pre-drawn in blocks
-    (the batched stream is identical to the per-step stream) and only
-    the coordinates a step touches are read.
+    regret compares expected values.  Uniforms are pre-drawn in chunks
+    of ``chunk_steps`` steps, at most 32,768 uniforms unless one step
+    needs more (the chunked stream is identical to the per-step stream),
+    and only the coordinates a step touches are read.
 
     ``step`` plays one pair; ``play`` scores a whole block of pairs in
-    numpy from an (m, K + L) slab of the same stream.  The two can be
-    interleaved freely: each reads the uniforms the other left unread.
-    ``block_steps`` is how many steps one block of at most 32,768
-    uniforms covers.
+    numpy, drawing its uniforms a chunk at a time from the same stream.
+    The two can be interleaved freely: each reads the uniforms the other
+    left unread.  ``block_steps`` is the block length a caller of
+    ``play`` should use: 4,096 steps, or one chunk if that is longer.
     """
 
     def __init__(self, inst: Rank1Instance, rng: np.random.Generator):
@@ -158,10 +159,15 @@ class Environment:
         self._best_row = int(np.argmax(inst.u_bar))
         self._best_col = int(np.argmax(inst.v_bar))
         self._best_value = float(inst.u_bar[self._best_row] * inst.v_bar[self._best_col])
-        self.block_steps = max(1, 32768 // self._span)
-        # the current block of uniforms; _pos is the offset of its first
-        # unread uniform
-        self._block = np.empty(0)
+        self.chunk_steps = max(1, 32768 // self._span)
+        self.block_steps = max(4096, self.chunk_steps)
+        # each step's means, rows first, once per step of a chunk
+        self._thresholds = np.tile(np.concatenate((inst.u_bar, inst.v_bar)), self.chunk_steps)
+        # the current chunk of uniforms, which of them are hits, and whether
+        # the best pair hits at each of its steps; _pos is the offset of the
+        # chunk's first unread uniform
+        self._chunk = self._hits = np.empty(0)
+        self._best_hits: list[bool] = []
         self._pos = 0
         self.steps = 0
         self.cum_pseudo_regret = 0.0
@@ -170,7 +176,7 @@ class Environment:
     def step(self, i: int, j: int) -> int:
         K = self._K
         if type(i) is not int or type(j) is not int:
-            # checked before a block is drawn: a float would fail only at the
+            # checked before a chunk is drawn: a float would fail only at the
             # list lookup, after the draw, a bool would play index 0 or 1, and
             # a narrow numpy integer would overflow in the offsets below
             if (isinstance(i, bool) or isinstance(j, bool)
@@ -182,20 +188,20 @@ class Environment:
         if j < 0 or j >= self._span - K:
             raise IndexError(f"column index {j} outside [0, {self._span - K})")
         pos = self._pos
-        block = self._block
-        if pos >= len(block):
-            block = self._block = self._rng.random(self.block_steps * self._span)
+        span = self._span
+        hits = self._hits
+        if pos >= len(hits):
+            self._chunk = self._rng.random(self._thresholds.size)
+            hits = self._hits = self._chunk < self._thresholds
+            self._best_hits = (hits[self._best_row::span] & hits[K + self._best_col::span]).tolist()
             pos = 0
-        u_i = block[pos + i] < self._u[i]
-        v_j = block[pos + K + j] < self._v[j]
-        reward = 1 if (u_i and v_j) else 0
-        br, bc = self._best_row, self._best_col
-        if (block[pos + br] < self._u[br]) and (block[pos + K + bc] < self._v[bc]):
+        reward = 1 if (hits[pos + i] and hits[pos + K + j]) else 0
+        if self._best_hits[pos // span]:
             self.cum_stochastic_regret += 1 - reward
         else:
             self.cum_stochastic_regret -= reward
         self.cum_pseudo_regret += self._best_value - self._u[i] * self._v[j]
-        self._pos = pos + self._span
+        self._pos = pos + span
         self.steps += 1
         return reward
 
@@ -204,10 +210,11 @@ class Environment:
         indices must have an integer dtype.
 
         Returns the rewards (int8) and the cumulative pseudo-regret and
-        stochastic regret after each step of the block.  Step t reads
-        uniforms [t*(K+L), (t+1)*(K+L)) of the slab, rows first, exactly
-        as ``step`` would, and the regrets are summed in the same order,
-        so the results are bit-identical to m calls of ``step``.
+        stochastic regret after each step of the block.  The uniforms are
+        drawn ``chunk_steps`` steps at a time; step t reads the t-th K+L
+        of them, rows first, exactly as ``step`` would, and the regrets
+        are summed in the same order, so the results are bit-identical to
+        m calls of ``step``.
         """
         rows, cols = np.asarray(rows), np.asarray(cols)
         K, span = self._K, self._span
@@ -224,12 +231,23 @@ class Environment:
             raise IndexError(f"row index outside [0, {K})")
         if cols.min() < 0 or cols.max() >= span - K:
             raise IndexError(f"column index outside [0, {span - K})")
-        z = self._slab(m * span).reshape(m, span)
-        u, v = self.inst.u_bar, self.inst.v_bar
-        t = np.arange(m)
-        hit = (z[t, rows] < u[rows]) & (z[t, K + cols] < v[cols])
+        # the four uniforms step t reads (its row, its column, the best row
+        # and the best column), as offsets into the chunk that holds step t
         br, bc = self._best_row, self._best_col
-        best = (z[:, br] < u[br]) & (z[:, K + bc] < v[bc])
+        cs = self.chunk_steps
+        offsets = np.empty((m, 4), np.int64)
+        offsets[:, 0] = rows
+        offsets[:, 1] = cols + K
+        offsets[:, 2] = br
+        offsets[:, 3] = K + bc
+        offsets += (np.arange(m) % cs * span)[:, None]
+        z = np.empty((m, 4))
+        for a in range(0, m, cs):
+            b = min(a + cs, m)
+            self._slab((b - a) * span).take(offsets[a:b], out=z[a:b])
+        u, v = self.inst.u_bar, self.inst.v_bar
+        hit = (z[:, 0] < u[rows]) & (z[:, 1] < v[cols])
+        best = (z[:, 2] < u[br]) & (z[:, 3] < v[bc])
         rewards = hit.view(np.int8)
         stoch = self.cum_stochastic_regret + np.cumsum(best.view(np.int8) - rewards, dtype=np.int64)
         gaps = np.empty(m + 1)
@@ -244,15 +262,15 @@ class Environment:
 
     def _slab(self, n: int) -> np.ndarray:
         """The next ``n`` uniforms of the stream: the unread rest of the
-        current block first, then fresh draws."""
-        pos, block = self._pos, self._block
-        avail = len(block) - pos
+        current chunk first, then fresh draws."""
+        pos, chunk = self._pos, self._chunk
+        avail = len(chunk) - pos
         if n <= avail:
             self._pos = pos + n
-            return block[pos:pos + n]
+            return chunk[pos:pos + n]
         fresh = self._rng.random(n - avail)
-        self._pos = len(block)
-        return np.concatenate((block[pos:], fresh)) if avail else fresh
+        self._pos = len(chunk)
+        return np.concatenate((chunk[pos:], fresh)) if avail else fresh
 
 
 @contextmanager

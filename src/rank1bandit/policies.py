@@ -129,7 +129,9 @@ class BlockPolicy(Policy):
         plan = self._pending
         if not isinstance(plan, _Plan):
             raise ProtocolError("commit called without a planned block")
-        if not (np.array_equal(rows, plan.rows) and np.array_equal(cols, plan.cols)):
+        # run_one passes back the very arrays plan returned
+        if not ((rows is plan.rows and cols is plan.cols)
+                or (np.array_equal(rows, plan.rows) and np.array_equal(cols, plan.cols))):
             raise ProtocolError("commit for a block other than the one planned")
         rewards = np.asarray(rewards)
         if rewards.shape != plan.rows.shape:

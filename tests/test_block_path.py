@@ -55,7 +55,7 @@ def policy_state(pol) -> dict:
 
 class TestEnvironmentPlay:
     INST = Rank1Instance(u_bar=[0.3, 0.8, 0.5], v_bar=[0.6, 0.1])
-    # K + L = 1000, so step() draws blocks of 32 steps and plays straddle them
+    # K + L = 1000, so uniforms come in chunks of 32 steps and plays straddle them
     WIDE = Rank1Instance(u_bar=np.linspace(0.0, 1.0, 600), v_bar=np.linspace(0.9, 0.1, 400))
 
     @settings(max_examples=60, deadline=None)
@@ -90,6 +90,32 @@ class TestEnvironmentPlay:
             assert (mixed.steps, mixed.cum_pseudo_regret, mixed.cum_stochastic_regret) == (
                 stepped.steps, stepped.cum_pseudo_regret, stepped.cum_stochastic_regret)
 
+    def test_play_draws_a_chunk_at_a_time(self):
+        # a block of block_steps pairs, begun 5 steps into a 32-step chunk,
+        # spans 128 chunks; no draw may exceed one chunk, and the block
+        # reads exactly its own uniforms
+        span = self.WIDE.K + self.WIDE.L
+        rng = RecordingRng(11)
+        env = Environment(self.WIDE, rng)
+        ref = Environment(self.WIDE, np.random.default_rng(11))
+        arm_rng = np.random.default_rng(12)
+        m = env.block_steps
+        rows = arm_rng.integers(self.WIDE.K, size=m + 40)
+        cols = arm_rng.integers(self.WIDE.L, size=m + 40)
+        want = [ref.step(int(i), int(j)) for i, j in zip(rows, cols)]
+        got = [env.step(int(i), int(j)) for i, j in zip(rows[:5], cols[:5])]
+        assert rng.sizes == [32 * span] and env.chunk_steps == 32
+        rng.sizes.clear()
+        rewards, pseudo, stoch = env.play(rows[5:5 + m], cols[5:5 + m])
+        assert max(rng.sizes) <= max(32768, span)
+        assert (32 - 5) * span + sum(rng.sizes) == m * span
+        assert (pseudo[-1], stoch[-1]) == (env.cum_pseudo_regret, env.cum_stochastic_regret)
+        got += rewards.tolist()
+        got += [env.step(int(i), int(j)) for i, j in zip(rows[5 + m:], cols[5 + m:])]
+        assert got == want
+        assert (env.steps, env.cum_pseudo_regret, env.cum_stochastic_regret) == (
+            ref.steps, ref.cum_pseudo_regret, ref.cum_stochastic_regret)
+
     def test_reads_k_plus_l_uniforms_per_step_rows_first(self):
         K, L = self.INST.K, self.INST.L
         env = Environment(self.INST, np.random.default_rng(123))
@@ -119,6 +145,18 @@ class TestEnvironmentPlay:
         rewards, pseudo, stoch = env.play([], [])
         assert rewards.size == pseudo.size == stoch.size == 0
         assert env.steps == 0
+
+
+class RecordingRng:
+    """An environment generator that records the size of each draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self._rng.random(size)
 
 
 def zero_noise_env(u, v, seed=0):
@@ -169,7 +207,13 @@ class TestPlanCommitProtocol:
             pol.commit(rows, (cols + 1) % 2, np.zeros(4, np.int8))
         with pytest.raises(ProtocolError):
             pol.commit(rows, cols, np.zeros(3, np.int8))
-        pol.commit(rows, cols, np.zeros(4, np.int8))
+        # arrays of the planned length but other values, and then new
+        # arrays holding the planned values
+        with pytest.raises(ProtocolError):
+            pol.commit((rows + 1) % 2, cols.copy(), np.zeros(4, np.int8))
+        with pytest.raises(ProtocolError):
+            pol.commit(rows.copy(), (cols + 1) % 2, np.zeros(4, np.int8))
+        pol.commit(rows.tolist(), np.array(cols), np.zeros(4, np.int8))
         assert pol.t == 4
 
     def test_commit_rejects_non_binary_rewards(self):
@@ -299,6 +343,24 @@ def test_run_one_matches_per_step_loop(u, v, horizon, name, master_seed, run_ind
     assert trace.cum_stochastic_regret == stoch
     assert policy_state(pol) == policy_state(ref)
     assert pol.t == horizon
+
+
+@pytest.mark.parametrize("name", BLOCK_POLICIES)
+def test_run_one_on_a_wide_instance_matches_per_step_loop(name):
+    # K + L = 1000: each block of 4,096 steps spans 128 chunks of 32 steps,
+    # and the horizon cuts a fourth block short
+    inst = TestEnvironmentPlay.WIDE
+    horizon = 3 * 4096 + 500
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        save_instance(inst, path)
+        config = ExperimentConfig(instance=str(path), policy=name, horizon=horizon,
+                                  runs=1, master_seed=3)
+        trace, pol = run_one_keeping_policy(config, 1)
+    pseudo, stoch, ref = reference_loop(name, inst, horizon, 3, 1)
+    assert trace.cum_pseudo_regret == pseudo
+    assert trace.cum_stochastic_regret == stoch
+    assert policy_state(pol) == policy_state(ref)
 
 
 @settings(max_examples=60, deadline=None)
