@@ -92,7 +92,7 @@ class TestEnvironmentPlay:
 
     def test_play_draws_a_chunk_at_a_time(self):
         # a block of block_steps pairs, begun 5 steps into a 32-step chunk,
-        # spans 128 chunks; no draw may exceed one chunk, and the block
+        # straddles 129 chunks; no draw may exceed one chunk, and the block
         # reads exactly its own uniforms
         span = self.WIDE.K + self.WIDE.L
         rng = RecordingRng(11)
@@ -104,7 +104,7 @@ class TestEnvironmentPlay:
         cols = arm_rng.integers(self.WIDE.L, size=m + 40)
         want = [ref.step(int(i), int(j)) for i, j in zip(rows, cols)]
         got = [env.step(int(i), int(j)) for i, j in zip(rows[:5], cols[:5])]
-        assert rng.sizes == [32 * span] and env.chunk_steps == 32
+        assert rng.sizes == [32 * span] and env.chunk_steps == 32 and m == 4096
         rng.sizes.clear()
         rewards, pseudo, stoch = env.play(rows[5:5 + m], cols[5:5 + m])
         assert max(rng.sizes) <= max(32768, span)
