@@ -235,11 +235,7 @@ class Environment:
         # and the best column), as offsets into the chunk that holds step t
         br, bc = self._best_row, self._best_col
         cs = self.chunk_steps
-        offsets = np.empty((m, 4), np.int64)
-        offsets[:, 0] = rows
-        offsets[:, 1] = cols + K
-        offsets[:, 2] = br
-        offsets[:, 3] = K + bc
+        offsets = np.column_stack((rows, cols + K, np.full(m, br), np.full(m, K + bc)))
         offsets += (np.arange(m) % cs * span)[:, None]
         z = np.empty((m, 4))
         for a in range(0, m, cs):
