@@ -257,6 +257,8 @@ def _resolve_jobs(jobs: int | None) -> int:
                 ) from None
         else:
             jobs = os.cpu_count() or 1
+    else:
+        jobs = _integer(jobs, "jobs")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     return jobs

@@ -137,16 +137,17 @@ class Environment:
     realizing the full Bernoulli vectors u_t and v_t; the reward of pair
     (i, j) is u_t[i] * v_t[j].  The stochastic regret compares the
     played pair against the best pair on the same draws; the pseudo
-    regret compares expected values.  Uniforms are pre-drawn in chunks
-    of ``chunk_steps`` steps, at most 32,768 uniforms unless one step
-    needs more (the chunked stream is identical to the per-step stream),
-    and only the coordinates a step touches are read.
+    regret compares expected values.  Uniforms are drawn a chunk of
+    ``chunk_steps`` steps at a time, at most 32,768 uniforms unless one
+    step needs more (the chunked stream is identical to the per-step
+    stream), and a step reads four of its own: the played and the best
+    row and column, each compared with its mean.
 
-    ``step`` plays one pair; ``play`` scores a whole block of pairs in
-    numpy, drawing its uniforms a chunk at a time from the same stream.
-    The two can be interleaved freely: each reads the uniforms the other
-    left unread.  ``block_steps`` is the block length a caller of
-    ``play`` should use: 4,096 steps, or one chunk if that is longer.
+    ``step`` plays one pair, reading the chunk through a memoryview;
+    ``play`` scores a block of pairs in numpy, gathering from the same
+    chunk and then from fresh ones.  The two can be interleaved freely.
+    ``block_steps`` is the block length a caller of ``play`` should use:
+    4,096 steps, or one chunk if that is longer.
     """
 
     def __init__(self, inst: Rank1Instance, rng: np.random.Generator):
@@ -161,23 +162,26 @@ class Environment:
         self._best_value = float(inst.u_bar[self._best_row] * inst.v_bar[self._best_col])
         self.chunk_steps = max(1, 32768 // self._span)
         self.block_steps = max(4096, self.chunk_steps)
-        # each step's means, rows first, once per step of a chunk
-        self._thresholds = np.tile(np.concatenate((inst.u_bar, inst.v_bar)), self.chunk_steps)
-        # the current chunk of uniforms, which of them are hits, and whether
-        # the best pair hits at each of its steps; _pos is the offset of the
-        # chunk's first unread uniform
-        self._chunk = self._hits = np.empty(0)
-        self._best_hits: list[bool] = []
+        # the current chunk of uniforms and a memoryview of it; _pos is the
+        # offset of its first unread uniform, a multiple of K + L
+        self._chunk = np.empty(0)
+        self._mv = memoryview(self._chunk)
         self._pos = 0
         self.steps = 0
         self.cum_pseudo_regret = 0.0
         self.cum_stochastic_regret = 0.0
 
+    def _draw(self) -> None:
+        """Replace the chunk by the next ``chunk_steps`` steps' uniforms."""
+        self._chunk = self._rng.random(self.chunk_steps * self._span)
+        self._mv = memoryview(self._chunk)
+        self._pos = 0
+
     def step(self, i: int, j: int) -> int:
         K = self._K
         if type(i) is not int or type(j) is not int:
             # checked before a chunk is drawn: a float would fail only at the
-            # list lookup, after the draw, a bool would play index 0 or 1, and
+            # lookups, after the draw, a bool would play index 0 or 1, and
             # a narrow numpy integer would overflow in the offsets below
             if (isinstance(i, bool) or isinstance(j, bool)
                     or not isinstance(i, (int, np.integer)) or not isinstance(j, (int, np.integer))):
@@ -188,20 +192,18 @@ class Environment:
         if j < 0 or j >= self._span - K:
             raise IndexError(f"column index {j} outside [0, {self._span - K})")
         pos = self._pos
-        span = self._span
-        hits = self._hits
-        if pos >= len(hits):
-            self._chunk = self._rng.random(self._thresholds.size)
-            hits = self._hits = self._chunk < self._thresholds
-            self._best_hits = (hits[self._best_row::span] & hits[K + self._best_col::span]).tolist()
+        if pos == len(self._mv):
+            self._draw()
             pos = 0
-        reward = 1 if (hits[pos + i] and hits[pos + K + j]) else 0
-        if self._best_hits[pos // span]:
+        z, u, v = self._mv, self._u, self._v
+        reward = 1 if (z[pos + i] < u[i] and z[pos + K + j] < v[j]) else 0
+        br, bc = self._best_row, self._best_col
+        if z[pos + br] < u[br] and z[pos + K + bc] < v[bc]:
             self.cum_stochastic_regret += 1 - reward
         else:
             self.cum_stochastic_regret -= reward
-        self.cum_pseudo_regret += self._best_value - self._u[i] * self._v[j]
-        self._pos = pos + span
+        self.cum_pseudo_regret += self._best_value - u[i] * v[j]
+        self._pos = pos + self._span
         self.steps += 1
         return reward
 
@@ -210,11 +212,10 @@ class Environment:
         indices must have an integer dtype.
 
         Returns the rewards (int8) and the cumulative pseudo-regret and
-        stochastic regret after each step of the block.  The uniforms are
-        drawn ``chunk_steps`` steps at a time; step t reads the t-th K+L
-        of them, rows first, exactly as ``step`` would, and the regrets
-        are summed in the same order, so the results are bit-identical to
-        m calls of ``step``.
+        stochastic regret after each step of the block.  Step t reads the
+        t-th K+L uniforms after those already read, rows first, exactly as
+        ``step`` would, and the regrets are summed in the same order, so
+        the results are bit-identical to m calls of ``step``.
         """
         rows, cols = np.asarray(rows), np.asarray(cols)
         K, span = self._K, self._span
@@ -232,41 +233,35 @@ class Environment:
         if cols.min() < 0 or cols.max() >= span - K:
             raise IndexError(f"column index outside [0, {span - K})")
         # the four uniforms step t reads (its row, its column, the best row
-        # and the best column), as offsets into the chunk that holds step t
+        # and the best column), as offsets into the chunk that holds step t:
+        # the current one while it lasts, then one fresh chunk per chunk_steps
         br, bc = self._best_row, self._best_col
         cs = self.chunk_steps
         offsets = np.column_stack((rows, cols + K, np.full(m, br), np.full(m, K + bc)))
-        offsets += (np.arange(m) % cs * span)[:, None]
+        offsets += ((self._pos // span + np.arange(m)) % cs * span)[:, None]
         z = np.empty((m, 4))
-        for a in range(0, m, cs):
-            b = min(a + cs, m)
-            self._slab((b - a) * span).take(offsets[a:b], out=z[a:b])
-        u, v = self.inst.u_bar, self.inst.v_bar
-        hit = (z[:, 0] < u[rows]) & (z[:, 1] < v[cols])
-        best = (z[:, 2] < u[br]) & (z[:, 3] < v[bc])
+        a = 0
+        while a < m:
+            if self._pos == len(self._chunk):
+                self._draw()
+            b = min(m, a + (len(self._chunk) - self._pos) // span)
+            self._chunk.take(offsets[a:b], out=z[a:b])
+            self._pos += (b - a) * span
+            a = b
+        u, v = self.inst.u_bar[rows], self.inst.v_bar[cols]
+        hit = (z[:, 0] < u) & (z[:, 1] < v)
+        best = (z[:, 2] < self._u[br]) & (z[:, 3] < self._v[bc])
         rewards = hit.view(np.int8)
         stoch = self.cum_stochastic_regret + np.cumsum(best.view(np.int8) - rewards, dtype=np.int64)
         gaps = np.empty(m + 1)
         gaps[0] = self.cum_pseudo_regret
-        np.subtract(self._best_value, u[rows] * v[cols], out=gaps[1:])
+        np.subtract(self._best_value, u * v, out=gaps[1:])
         # a sequential left fold: the same additions, in the same order, as step
         pseudo = np.add.accumulate(gaps)[1:]
         self.cum_pseudo_regret = float(pseudo[-1])
         self.cum_stochastic_regret = float(stoch[-1])
         self.steps += m
         return rewards, pseudo, stoch
-
-    def _slab(self, n: int) -> np.ndarray:
-        """The next ``n`` uniforms of the stream: the unread rest of the
-        current chunk first, then fresh draws."""
-        pos, chunk = self._pos, self._chunk
-        avail = len(chunk) - pos
-        if n <= avail:
-            self._pos = pos + n
-            return chunk[pos:pos + n]
-        fresh = self._rng.random(n - avail)
-        self._pos = len(chunk)
-        return np.concatenate((chunk[pos:], fresh)) if avail else fresh
 
 
 @contextmanager
@@ -298,8 +293,9 @@ def load_instance(path) -> Rank1Instance:
 
     Distinguishes the failure modes: a missing file raises
     FileNotFoundError, malformed JSON raises ValueError mentioning JSON,
-    and structural problems (missing keys, empty arrays, out-of-range
-    entries) raise ValueError describing the field.
+    and structural problems (missing keys, empty arrays, entries that are
+    not JSON numbers or lie outside [0, 1]) raise ValueError describing
+    the field.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -313,6 +309,9 @@ def load_instance(path) -> Rank1Instance:
             raise ValueError(f'{path}: missing "{key}" array')
         if not isinstance(obj[key], list) or len(obj[key]) == 0:
             raise ValueError(f'{path}: "{key}" must be a nonempty array')
+        bad = [x for x in obj[key] if type(x) not in (int, float)]
+        if bad:
+            raise ValueError(f'{path}: "{key}" entries must be numbers, got {bad[0]!r}')
     return Rank1Instance(u_bar=obj["u"], v_bar=obj["v"])
 
 

@@ -92,8 +92,9 @@ class TestEnvironmentPlay:
 
     def test_play_draws_a_chunk_at_a_time(self):
         # a block of block_steps pairs, begun 5 steps into a 32-step chunk,
-        # straddles 129 chunks; no draw may exceed one chunk, and the block
-        # reads exactly its own uniforms
+        # reads the 27 steps left in it and then 128 fresh chunks, the last
+        # 5 steps in; every draw is exactly one chunk, and the block with
+        # its tail plays the stream of the all-step run
         span = self.WIDE.K + self.WIDE.L
         rng = RecordingRng(11)
         env = Environment(self.WIDE, rng)
@@ -107,11 +108,11 @@ class TestEnvironmentPlay:
         assert rng.sizes == [32 * span] and env.chunk_steps == 32 and m == 4096
         rng.sizes.clear()
         rewards, pseudo, stoch = env.play(rows[5:5 + m], cols[5:5 + m])
-        assert max(rng.sizes) <= max(32768, span)
-        assert (32 - 5) * span + sum(rng.sizes) == m * span
+        assert rng.sizes == [32 * span] * 128
         assert (pseudo[-1], stoch[-1]) == (env.cum_pseudo_regret, env.cum_stochastic_regret)
         got += rewards.tolist()
         got += [env.step(int(i), int(j)) for i, j in zip(rows[5 + m:], cols[5 + m:])]
+        assert rng.sizes == [32 * span] * 129
         assert got == want
         assert (env.steps, env.cum_pseudo_regret, env.cum_stochastic_regret) == (
             ref.steps, ref.cum_pseudo_regret, ref.cum_stochastic_regret)

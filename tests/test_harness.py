@@ -283,6 +283,13 @@ class TestRunMany:
         with pytest.raises(ValueError, match="RANK1BANDIT_JOBS must be an integer, got 'two'"):
             run_many(small_config())
 
+    def test_jobs_must_be_an_integer(self):
+        # a float used to fail inside the process pool, and True ran as 1 job
+        for jobs in (1.5, True):
+            with pytest.raises(ValueError, match=f"jobs must be an integer, got {jobs!r}"):
+                run_many(small_config(runs=2), jobs=jobs)
+        assert run_many(small_config(runs=2), jobs=np.int64(1)).steps
+
     def test_jobs_must_be_at_least_one(self, monkeypatch):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_many(small_config(), jobs=0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +242,15 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             load_instance(path)
 
+    def test_non_number_entry(self, tmp_path):
+        # strings and booleans are not JSON numbers, though numpy would convert them
+        path = tmp_path / "types.json"
+        for u, v, key in (([0.5, True], [0.5], "u"), ([0.5, 1], [0.5, "1e-1"], "v"),
+                          (["0.5", True], [False, "1e-1"], "u"), ([0.5], [None], "v")):
+            path.write_text(json.dumps({"u": u, "v": v}), encoding="utf-8")
+            with pytest.raises(ValueError, match=f'"{key}" entries must be numbers'):
+                load_instance(path)
+
     def test_empty_dimension(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"u": [], "v": [0.5]}), encoding="utf-8")
@@ -411,3 +421,18 @@ class TestEnvironment:
         for _ in range(37):
             env.step(0, 0)
         assert env.steps == 37
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_construction_is_linear_in_k_plus_l(self, n):
+        # an Environment holds O(K+L) state until it draws: at most 64 bytes
+        # per row and column, whatever the chunk size
+        inst = needle_instance(n, n, 0.25, 0.25, 0.5, 0.5)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            Environment(inst, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 64 * (n + n), peak - base
