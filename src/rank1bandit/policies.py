@@ -182,11 +182,12 @@ class Rank1ElimKL(BlockPolicy):
     successes in the rounds' row steps (each column's in the column
     steps), the only totals ever read, ``_h[side]`` is the redirection
     map and ``_survivors[side]`` its sorted image.  A round walks
-    ``_walk``, the surviving rows then the surviving columns, so step
-    ``_pos`` of a stage is round ``_pos // len(_walk)`` at offset
-    ``o = _pos % len(_walk)``: with R surviving rows it plays row ``o``
-    against the round's column if o < R, else the round's row against
-    column ``o - R``.  A round's pair is drawn when its first step, o = 0,
+    ``_walk``, the surviving rows then the surviving columns, so with
+    ``_width`` = ``len(_walk)`` step ``_pos`` of a stage is round
+    ``_pos // _width`` at offset ``o = _pos % _width``: with
+    ``_n_rows`` = R surviving rows it plays row ``o`` against the
+    round's column if o < R, else the round's row against column
+    ``o - R``.  A round's pair is drawn when its first step, o = 0,
     is selected or planned, and ``_pair`` holds the (column, row) pair of
     the last round begun.  ``plan`` covers at most the rest of the stage,
     whose elimination needs the rewards.
@@ -247,7 +248,10 @@ class Rank1ElimKL(BlockPolicy):
 
     def _begin_stage(self, rounds: int) -> None:
         self._walk = np.array(self._survivors[0] + self._survivors[1])
-        self._stage_end = rounds * len(self._walk)
+        # a round's length and its row steps, fixed for the stage
+        self._width = len(self._walk)
+        self._n_rows = len(self._survivors[0])
+        self._stage_end = rounds * self._width
         self._pos = 0
 
     def _draw(self, n: int) -> list[tuple[int, int]]:
@@ -255,7 +259,7 @@ class Rank1ElimKL(BlockPolicy):
         the maps, column first; with one row and one column left, none is
         drawn."""
         rows, cols = self._h
-        if len(self._walk) == 2:
+        if self._width == 2:
             # every entry of either map is its side's one survivor, and
             # survivors never grow back, so no output could read a draw
             return [(cols[0], rows[0])] * n
@@ -263,17 +267,17 @@ class Rank1ElimKL(BlockPolicy):
                 for _ in range(n)]
 
     def _select(self) -> tuple[int, int]:
-        rows = self._survivors[0]
-        o = self._pos % len(self._walk)
+        o = self._pos % self._width
         if o == 0:
             self._pair = self._draw(1)[0]
-        if o < len(rows):
-            return rows[o], self._pair[0]
-        return self._pair[1], self._survivors[1][o - len(rows)]
+        n_rows = self._n_rows
+        if o < n_rows:
+            return self._survivors[0][o], self._pair[0]
+        return self._pair[1], self._survivors[1][o - n_rows]
 
     def _update(self, i: int, j: int, reward: int) -> None:
         if reward:
-            side = self._pos % len(self._walk) >= len(self._survivors[0])
+            side = self._pos % self._width >= self._n_rows
             self._S[side][j if side else i] += 1
         self._pos += 1
         if self._pos == self._stage_end:
@@ -282,7 +286,7 @@ class Rank1ElimKL(BlockPolicy):
     def _plan(self, limit: int):
         pos = self._pos
         self._pos = end = min(pos + limit, self._stage_end)
-        width = len(self._walk)
+        width = self._width
         o0 = pos % width
         # the block's rounds, counted from the one it begins in, and the
         # offsets within them
@@ -293,7 +297,7 @@ class Rank1ElimKL(BlockPolicy):
         pairs += self._draw(int(rnd[-1]) + 1 - len(pairs))
         self._pair = pairs[-1]
         pairs = np.array(pairs)
-        sides = o >= len(self._survivors[0])
+        sides = o >= self._n_rows
         walked = self._walk[o]
         rows = np.where(sides, pairs[:, 1][rnd], walked)
         cols = np.where(sides, walked, pairs[:, 0][rnd])
@@ -366,27 +370,37 @@ class UCB1(Policy):
         super().__init__(K, L, horizon, rng)
         n_arms = self.K * self.L
         self._n_arms = n_arms
+        self._sums = [0] * n_arms
+        # the entries the index reads, and the buffer it is built in
         self._counts = np.zeros(n_arms)
         self._means = np.zeros(n_arms)
-        self._sums = np.zeros(n_arms)
         self._inv_sqrt = np.zeros(n_arms)
+        self._buf = np.empty(n_arms)
 
     def _select(self) -> tuple[int, int]:
         t = self.t
-        a = t if t < self._n_arms else int(np.argmax(self._index(t)))
-        return (a // self.L, a % self.L)
+        if t < self._n_arms:
+            return divmod(t, self.L)
+        return divmod(int(self._index(t).argmax()), self.L)
 
     def _index(self, t: int) -> np.ndarray:
-        """Every arm's index at step t + 1, once each arm has been played."""
+        """Every arm's index at step t + 1, once each arm has been played,
+        in a buffer the next call overwrites."""
         width = math.sqrt(2.0 * math.log(t + 1))
-        return self._means + width * self._inv_sqrt
+        buf = self._buf
+        np.multiply(width, self._inv_sqrt, out=buf)
+        np.add(self._means, buf, out=buf)
+        return buf
 
     def _update(self, i: int, j: int, reward: int) -> None:
         a = i * self.L + j
-        c = self._counts[a] + 1.0
+        c = self._counts.item(a) + 1.0
         self._counts[a] = c
-        self._sums[a] += reward
-        self._means[a] = self._sums[a] / c
+        s = self._sums[a]
+        if reward:
+            # a Python int whatever the reward's type: an int8 sum would wrap
+            self._sums[a] = s = s + 1
+        self._means[a] = s / c
         self._inv_sqrt[a] = 1.0 / math.sqrt(c)
 
 

@@ -344,6 +344,13 @@ class TestUCB1:
         arms = drive(pol, env, 50)
         assert arms == [(0, 0)] * 50
 
+    def test_int8_rewards_do_not_wrap(self):
+        # numpy 2 keeps 0 + np.int8(1) an int8, so 130 such additions give -126
+        pol = UCB1(1, 1, 300, np.random.default_rng(0))
+        for _ in range(300):
+            pol.update(pol.select(), np.int8(1))
+        assert pol._means[0] == 1.0
+
     def test_deterministic_given_seed(self):
         inst = needle_instance(2, 3, 0.2, 0.2, 0.3, 0.3)
         runs = []
