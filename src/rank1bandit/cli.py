@@ -89,17 +89,22 @@ def _dedup_with_warning(values: list, label: str) -> list:
 def cmd_sweep(args: argparse.Namespace) -> int:
     sizes = _dedup_with_warning(args.sizes, "size")
     policies = _dedup_with_warning(args.policies, "policy")
-    os.makedirs(args.out_dir, exist_ok=True)
-    cells = [(p, s) for p in policies for s in sizes]
-    for idx, (policy, size) in enumerate(cells, start=1):
-        spec = f"needle:K={size},L={size},p={args.p},gap={args.gap}"
-        config = ExperimentConfig(
-            instance=spec,
+    # every cell is checked before the directory or any CSV is written
+    specs = {size: f"needle:K={size},L={size},p={args.p},gap={args.gap}" for size in sizes}
+    for spec in specs.values():
+        parse_instance_spec(spec)
+    cells = [
+        (policy, size, ExperimentConfig(
+            instance=specs[size],
             policy=policy,
             horizon=args.horizon,
             runs=args.runs,
             master_seed=args.seed,
-        )
+        ))
+        for policy in policies for size in sizes
+    ]
+    os.makedirs(args.out_dir, exist_ok=True)
+    for idx, (policy, size, config) in enumerate(cells, start=1):
         _info(f"[{idx}/{len(cells)}] {policy} K=L={size}")
         result = run_many(config, jobs=args.jobs)
         path = os.path.join(args.out_dir, f"{policy}_{size}x{size}.csv")

@@ -216,3 +216,17 @@ class TestSweep:
     def test_malformed_sizes_usage_error(self, tmp_path, capsys):
         code = main(self.sweep_flags(tmp_path / "sw", sizes="2,x"))
         assert code == 2
+
+    def test_bad_later_size_runs_no_cell(self, tmp_path, capsys):
+        code = main(self.sweep_flags(tmp_path / "sw", sizes="2,0"))
+        assert code == 1
+        assert "K must be a positive integer" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+        assert not (tmp_path / "sw").exists()
+
+    def test_short_horizon_creates_no_directory(self, tmp_path, capsys):
+        flags = self.sweep_flags(tmp_path / "sw")
+        flags[flags.index("--horizon") + 1] = "3"
+        assert main(flags) == 1
+        assert list(tmp_path.rglob("*.csv")) == []
+        assert not (tmp_path / "sw").exists()
