@@ -182,12 +182,11 @@ class Rank1ElimKL(BlockPolicy):
     successes in the rounds' row steps (each column's in the column
     steps), the only totals ever read, ``_h[side]`` is the redirection
     map and ``_survivors[side]`` its sorted image.  A round walks
-    ``_walk``, the surviving rows then the surviving columns, so with
-    ``_width`` = ``len(_walk)`` step ``_pos`` of a stage is round
-    ``_pos // _width`` at offset ``o = _pos % _width``: with
-    ``_n_rows`` = R surviving rows it plays row ``o`` against the
-    round's column if o < R, else the round's row against column
-    ``o - R``.  A round's pair is drawn when its first step, o = 0,
+    ``_walk``, the surviving rows then the surviving columns, so step
+    ``_pos`` of a stage is round ``_pos // len(_walk)`` at offset
+    ``o = _pos % len(_walk)``: with R surviving rows it plays row ``o``
+    against the round's column if o < R, else the round's row against
+    column ``o - R``.  A round's pair is drawn when its first step, o = 0,
     is selected or planned, and ``_pair`` holds the (column, row) pair of
     the last round begun.  ``plan`` covers at most the rest of the stage,
     whose elimination needs the rewards.
@@ -248,10 +247,7 @@ class Rank1ElimKL(BlockPolicy):
 
     def _begin_stage(self, rounds: int) -> None:
         self._walk = np.array(self._survivors[0] + self._survivors[1])
-        # a round's length and its row steps, fixed for the stage
-        self._width = len(self._walk)
-        self._n_rows = len(self._survivors[0])
-        self._stage_end = rounds * self._width
+        self._stage_end = rounds * len(self._walk)
         self._pos = 0
 
     def _draw(self, n: int) -> list[tuple[int, int]]:
@@ -259,7 +255,7 @@ class Rank1ElimKL(BlockPolicy):
         the maps, column first; with one row and one column left, none is
         drawn."""
         rows, cols = self._h
-        if self._width == 2:
+        if len(self._walk) == 2:
             # every entry of either map is its side's one survivor, and
             # survivors never grow back, so no output could read a draw
             return [(cols[0], rows[0])] * n
@@ -267,17 +263,17 @@ class Rank1ElimKL(BlockPolicy):
                 for _ in range(n)]
 
     def _select(self) -> tuple[int, int]:
-        o = self._pos % self._width
+        rows = self._survivors[0]
+        o = self._pos % len(self._walk)
         if o == 0:
             self._pair = self._draw(1)[0]
-        n_rows = self._n_rows
-        if o < n_rows:
-            return self._survivors[0][o], self._pair[0]
-        return self._pair[1], self._survivors[1][o - n_rows]
+        if o < len(rows):
+            return rows[o], self._pair[0]
+        return self._pair[1], self._survivors[1][o - len(rows)]
 
     def _update(self, i: int, j: int, reward: int) -> None:
         if reward:
-            side = self._pos % self._width >= self._n_rows
+            side = self._pos % len(self._walk) >= len(self._survivors[0])
             self._S[side][j if side else i] += 1
         self._pos += 1
         if self._pos == self._stage_end:
@@ -286,7 +282,7 @@ class Rank1ElimKL(BlockPolicy):
     def _plan(self, limit: int):
         pos = self._pos
         self._pos = end = min(pos + limit, self._stage_end)
-        width = self._width
+        width = len(self._walk)
         o0 = pos % width
         # the block's rounds, counted from the one it begins in, and the
         # offsets within them
@@ -297,7 +293,7 @@ class Rank1ElimKL(BlockPolicy):
         pairs += self._draw(int(rnd[-1]) + 1 - len(pairs))
         self._pair = pairs[-1]
         pairs = np.array(pairs)
-        sides = o >= self._n_rows
+        sides = o >= len(self._survivors[0])
         walked = self._walk[o]
         rows = np.where(sides, pairs[:, 1][rnd], walked)
         cols = np.where(sides, walked, pairs[:, 0][rnd])
