@@ -8,9 +8,8 @@ written out plainly: float64 sums, an index array built afresh each step,
 ``np.argmax``.  Under all-zero rewards every index ties after the sweep,
 so the arms must also cycle in row-major order.
 
-``test_elimination_invariants`` checks Rank1ElimKL and Rank1Elim.
-
-The rewards come from no instance: a Hypothesis-drawn 0/1 table over the
+``test_elimination_invariants`` checks Rank1ElimKL and Rank1Elim.  Its
+rewards come from no instance: a Hypothesis-drawn 0/1 table over the
 K x L pairs, flipped by a drawn 0/1 noise pattern that repeats along the
 steps.  An all-zero pattern gives noiseless rewards, so eliminations
 happen; any other gives a stream no Bernoulli model would produce.  The
