@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from rank1bandit.harness import ExperimentConfig, run_many, write_trace_csv
+from rank1bandit.harness import ExperimentConfig, resolve_jobs, run_many, write_trace_csv
 from rank1bandit.instances import (
     compute_metrics,
     needle_instance,
@@ -29,12 +29,20 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _check_out_dir(path: str) -> None:
+    """Fail before any work if the directory that is to hold ``path`` is missing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(f"cannot write {path}: no directory {parent}")
+
+
 def cmd_gen_instance(args: argparse.Namespace) -> int:
     if args.kind == "needle":
         inst = needle_instance(args.K, args.L, args.p_u, args.p_v,
                                args.delta_u, args.delta_v)
     else:
         inst = pbm_like_instance(args.K, args.L, args.head_mass, args.decay)
+    _check_out_dir(args.out)
     save_instance(inst, args.out)
     _info(f"wrote {inst.K}x{inst.L} instance to {args.out}")
     return 0
@@ -67,9 +75,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         runs=args.runs,
         master_seed=args.seed,
     )
+    jobs = resolve_jobs(args.jobs)
+    _check_out_dir(args.out)
     _info(f"running {args.policy} on {args.instance}: "
           f"horizon={args.horizon}, runs={args.runs}, seed={args.seed}")
-    result = run_many(config, jobs=args.jobs)
+    result = run_many(config, jobs=jobs)
     write_trace_csv(result, args.out)
     _info(f"final mean pseudo-regret {result.mean_pseudo_regret[-1]:.6g}; "
           f"wrote {args.out}")
@@ -89,7 +99,8 @@ def _dedup_with_warning(values: list, label: str) -> list:
 def cmd_sweep(args: argparse.Namespace) -> int:
     sizes = _dedup_with_warning(args.sizes, "size")
     policies = _dedup_with_warning(args.policies, "policy")
-    # every cell is checked before the directory or any CSV is written
+    # every cell and the job count are checked before the directory or
+    # any CSV is written
     specs = {size: f"needle:K={size},L={size},p={args.p},gap={args.gap}" for size in sizes}
     for spec in specs.values():
         parse_instance_spec(spec)
@@ -103,10 +114,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ))
         for policy in policies for size in sizes
     ]
+    jobs = resolve_jobs(args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
     for idx, (policy, size, config) in enumerate(cells, start=1):
         _info(f"[{idx}/{len(cells)}] {policy} K=L={size}")
-        result = run_many(config, jobs=args.jobs)
+        result = run_many(config, jobs=jobs)
         path = os.path.join(args.out_dir, f"{policy}_{size}x{size}.csv")
         write_trace_csv(result, path)
         _info(f"  wrote {path}")

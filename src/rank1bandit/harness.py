@@ -245,7 +245,9 @@ def run_one(config: ExperimentConfig, run_index: int) -> RegretTrace:
     )
 
 
-def _resolve_jobs(jobs: int | None) -> int:
+def resolve_jobs(jobs: int | None) -> int:
+    """The worker count ``run_many`` uses for ``jobs``: itself, or when it is
+    None the RANK1BANDIT_JOBS environment variable, then os.cpu_count()."""
     if jobs is None:
         env = os.environ.get(JOBS_ENV_VAR)
         if env is not None:
@@ -273,7 +275,7 @@ def run_many(config: ExperimentConfig, jobs: int | None = None) -> AggregateResu
     is None the RANK1BANDIT_JOBS environment variable, then os.cpu_count(),
     decides.
     """
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     indices = range(config.runs)
     if jobs == 1 or config.runs == 1:
         traces = [run_one(config, r) for r in indices]

@@ -129,28 +129,69 @@ def compute_metrics(inst: Rank1Instance) -> HardnessMetrics:
     )
 
 
+# numpy's default bit generator, PCG64, is the 128-bit LCG s -> a*s + inc
+# (mod 2**128) with the XSL-RR output; Generator.random returns that
+# output >> 11, times 2**-53 (O'Neill, PCG, HMC-CS-2014-0905)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# from this K + L up, play computes the four uniforms a step reads by
+# skip-ahead instead of drawing all K + L; below it drawing is cheaper
+_JUMP_SPAN = 96
+# steps per pass of the skip-ahead: about 30 passes over arrays of 4 * 1,024
+# uint64 stay in cache, where arrays of a whole block do not
+_PIECE = 1024
+
+
+def _jump_limbs(A: int, C: int) -> tuple[np.uint64, ...]:
+    """The map s -> A*s + C as the uint64 limbs (A hi, A lo, C hi, C lo)."""
+    return tuple(np.uint64(x) for x in (A >> 64, A & _MASK64, C >> 64, C & _MASK64))
+
+
+def _affine128(ah, al, ch, cl, xh, xl):
+    """(A*x + C) mod 2**128 on uint64 limbs (hi, lo), elementwise; the low
+    product's high word is assembled from 32-bit halves."""
+    m32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    a0, a1, x0, x1 = al & m32, al >> s32, xl & m32, xl >> s32
+    p01, p10 = a0 * x1, a1 * x0
+    mid = (a0 * x0 >> s32) + (p01 & m32) + (p10 & m32)
+    hi = a1 * x1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32) + ah * xl + al * xh
+    lo = al * xl
+    out = lo + cl
+    hi += ch + (out < lo)
+    return hi, out
+
+
 class Environment:
     """Plays pairs of an instance and accumulates the regrets.
 
-    Every step consumes exactly K + L uniform draws from ``rng`` in a
-    fixed order (row coordinates first, then column coordinates),
+    Every step advances the stream of ``rng`` by exactly K + L uniforms
+    in a fixed order (row coordinates first, then column coordinates),
     realizing the full Bernoulli vectors u_t and v_t; the reward of pair
     (i, j) is u_t[i] * v_t[j].  The stochastic regret compares the
     played pair against the best pair on the same draws; the pseudo
-    regret compares expected values.  Uniforms are drawn a chunk of
-    ``chunk_steps`` steps at a time, at most 32,768 uniforms unless one
-    step needs more (the chunked stream is identical to the per-step
-    stream), and a step reads four of its own: the played and the best
-    row and column, each compared with its mean.
+    regret compares expected values.  Step t reads four positions of the
+    stream: t*(K+L) plus the played and the best row, and K plus the
+    played and the best column, each compared with its mean.
 
-    ``step`` plays one pair, reading the chunk through a memoryview;
-    ``play`` scores a block of pairs in numpy, gathering from the same
-    chunk and then from fresh ones.  The two can be interleaved freely.
+    ``step`` plays one pair, reading a chunk of ``chunk_steps`` steps'
+    uniforms through a memoryview; a chunk holds at most 32,768 uniforms
+    unless one step needs more, and the chunked stream is identical to
+    the per-step stream.  ``play`` scores a block of pairs in numpy,
+    reading what is left of the chunk and then the steps after it: below
+    K + L = ``_JUMP_SPAN`` from fresh chunks, and from there up by
+    skip-ahead (Brown, "Random number generation with arbitrary strides",
+    1994), which computes only the four uniforms each step reads and then
+    advances the generator by (K+L) per step, as drawing would.  So
+    ``rng`` must be driven by a ``PCG64``.  The two can be interleaved
+    freely.
     ``block_steps`` is the block length a caller of ``play`` should use:
     4,096 steps, or one chunk if that is longer.
     """
 
     def __init__(self, inst: Rank1Instance, rng: np.random.Generator):
+        if not isinstance(getattr(rng, "bit_generator", None), np.random.PCG64):
+            raise ValueError("rng must be a numpy Generator driven by PCG64")
         self.inst = inst
         self._rng = rng
         self._u = inst.u_bar.tolist()
@@ -167,6 +208,12 @@ class Environment:
         self._chunk = np.empty(0)
         self._mv = memoryview(self._chunk)
         self._pos = 0
+        # skip-ahead tables, built by the first play that jumps, for the
+        # generator's increment _jump_inc: _offset_jumps[:, o] is the jump
+        # by o + 1 draws and _stride_jumps[k] the jump by 2**k * (K+L)
+        self._jump_inc = None
+        self._offset_jumps = None
+        self._stride_jumps = []
         self.steps = 0
         self.cum_pseudo_regret = 0.0
         self.cum_stochastic_regret = 0.0
@@ -176,6 +223,49 @@ class Environment:
         self._chunk = self._rng.random(self.chunk_steps * self._span)
         self._mv = memoryview(self._chunk)
         self._pos = 0
+
+    def _jump(self, local: np.ndarray, z: np.ndarray) -> None:
+        """Fill z[t] with the uniforms at offsets local[t] of the t-th
+        K + L uniforms ahead of the generator, then advance it past them."""
+        bg = self._rng.bit_generator
+        state = bg.state
+        s, inc = state["state"]["state"], state["state"]["inc"]
+        n = len(local)
+        if inc != self._jump_inc:
+            A, C, table = 1, 0, []
+            for _ in range(self._span):
+                A, C = A * _PCG64_MULT & _MASK128, (C * _PCG64_MULT + inc) & _MASK128
+                table += (A >> 64, A & _MASK64, C >> 64, C & _MASK64)
+            self._offset_jumps = np.array(table, dtype=np.uint64).reshape(-1, 4).T.copy()
+            self._stride_jumps = []
+            while len(self._stride_jumps) < _PIECE.bit_length():
+                self._stride_jumps.append(_jump_limbs(A, C))
+                A, C = A * A & _MASK128, (A * C + C) & _MASK128
+            self._jump_inc = inc
+        # the state after t*(K+L) draws for each t of the first piece, by
+        # doubling, and for each later piece by one more jump of a piece
+        p = min(n, _PIECE)
+        sh, sl = np.empty(p, np.uint64), np.empty(p, np.uint64)
+        sh[0], sl[0] = s >> 64, s & _MASK64
+        w, k = 1, 0
+        while w < p:
+            e = min(p, 2 * w)
+            sh[w:e], sl[w:e] = _affine128(*self._stride_jumps[k], sh[:e - w], sl[:e - w])
+            w, k = e, k + 1
+        for a in range(0, n, _PIECE):
+            if a:
+                sh, sl = _affine128(*self._stride_jumps[-1], sh, sl)
+            b = min(n, a + _PIECE)
+            # each step's four states, XSL-RR, and Generator.random's float
+            hi, lo = _affine128(*(t.take(local[a:b]) for t in self._offset_jumps),
+                                sh[:b - a, None], sl[:b - a, None])
+            v, rot = hi ^ lo, hi >> np.uint64(58)
+            out = (v >> rot) | (v << ((np.uint64(64) - rot) & np.uint64(63)))
+            np.multiply(out >> np.uint64(11), 2.0**-53, out=z[a:b])
+        bg.advance(n * self._span)
+        if state["has_uint32"]:
+            # advance drops a buffered 32-bit half, which drawing would keep
+            bg.state = {**bg.state, "has_uint32": 1, "uinteger": state["uinteger"]}
 
     def step(self, i: int, j: int) -> int:
         K = self._K
@@ -233,19 +323,22 @@ class Environment:
         if cols.min() < 0 or cols.max() >= span - K:
             raise IndexError(f"column index outside [0, {span - K})")
         # the four uniforms step t reads (its row, its column, the best row
-        # and the best column), as offsets into the chunk that holds step t:
-        # the current one while it lasts, then one fresh chunk per chunk_steps
+        # and the best column), as offsets into its K + L; they are read
+        # from the current chunk while it lasts, then from fresh chunks or,
+        # from _JUMP_SPAN up, by skip-ahead
         br, bc = self._best_row, self._best_col
-        cs = self.chunk_steps
-        offsets = np.column_stack((rows, cols + K, np.full(m, br), np.full(m, K + bc)))
-        offsets += ((self._pos // span + np.arange(m)) % cs * span)[:, None]
+        local = np.column_stack((rows, cols + K, np.full(m, br), np.full(m, K + bc)))
         z = np.empty((m, 4))
         a = 0
         while a < m:
             if self._pos == len(self._chunk):
+                if span >= _JUMP_SPAN:
+                    self._jump(local[a:], z[a:])
+                    break
                 self._draw()
             b = min(m, a + (len(self._chunk) - self._pos) // span)
-            self._chunk.take(offsets[a:b], out=z[a:b])
+            starts = self._pos + span * np.arange(b - a)
+            self._chunk.take(local[a:b] + starts[:, None], out=z[a:b])
             self._pos += (b - a) * span
             a = b
         u, v = self.inst.u_bar[rows], self.inst.v_bar[cols]

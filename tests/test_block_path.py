@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import rank1bandit.harness as harness
 from rank1bandit.harness import ExperimentConfig, default_checkpoints, derive_seed, run_one
-from rank1bandit.instances import Environment, Rank1Instance, save_instance
+from rank1bandit.instances import _JUMP_SPAN, Environment, Rank1Instance, save_instance
 from rank1bandit.policies import (
     KLUCB,
     UCB1,
@@ -92,11 +93,13 @@ class TestEnvironmentPlay:
 
     def test_play_draws_a_chunk_at_a_time(self):
         # a block of block_steps pairs, begun 5 steps into a 32-step chunk,
-        # reads the 27 steps left in it and then 128 fresh chunks, the last
-        # 5 steps in; every draw is exactly one chunk, and the block with
-        # its tail plays the stream of the all-step run
+        # reads the 27 steps left in it and then the next 4,069 steps'
+        # four uniforms by skip-ahead, which leaves the generator where
+        # drawing all their uniforms would; the 40 steps after it draw two
+        # chunks, and the block with its tail plays the stream of the
+        # all-step run
         span = self.WIDE.K + self.WIDE.L
-        rng = RecordingRng(11)
+        rng = np.random.default_rng(11)
         env = Environment(self.WIDE, rng)
         ref = Environment(self.WIDE, np.random.default_rng(11))
         arm_rng = np.random.default_rng(12)
@@ -105,17 +108,88 @@ class TestEnvironmentPlay:
         cols = arm_rng.integers(self.WIDE.L, size=m + 40)
         want = [ref.step(int(i), int(j)) for i, j in zip(rows, cols)]
         got = [env.step(int(i), int(j)) for i, j in zip(rows[:5], cols[:5])]
-        assert rng.sizes == [32 * span] and env.chunk_steps == 32 and m == 4096
-        rng.sizes.clear()
+        assert rng.bit_generator.state == drawn_state(11, 32 * span)
+        assert env.chunk_steps == 32 and m == 4096
         rewards, pseudo, stoch = env.play(rows[5:5 + m], cols[5:5 + m])
-        assert rng.sizes == [32 * span] * 128
+        assert rng.bit_generator.state == drawn_state(11, (5 + m) * span)
         assert (pseudo[-1], stoch[-1]) == (env.cum_pseudo_regret, env.cum_stochastic_regret)
         got += rewards.tolist()
         got += [env.step(int(i), int(j)) for i, j in zip(rows[5 + m:], cols[5 + m:])]
-        assert rng.sizes == [32 * span] * 129
+        assert rng.bit_generator.state == drawn_state(11, (5 + m + 64) * span)
         assert got == want
         assert (env.steps, env.cum_pseudo_regret, env.cum_stochastic_regret) == (
             ref.steps, ref.cum_pseudo_regret, ref.cum_stochastic_regret)
+
+    @pytest.mark.parametrize("K, L", [(60, _JUMP_SPAN - 61), (60, _JUMP_SPAN - 60), (1024, 1024)])
+    def test_play_after_steps_reads_the_stream(self, K, L):
+        # 7 steps draw a chunk, then two blocks: the first begins mid-chunk.
+        # Just below the crossover play draws whole chunks; from it up it
+        # computes the four uniforms a step reads, bit for bit those of
+        # rng.random, and leaves the generator where drawing them would
+        inst = Rank1Instance(u_bar=np.linspace(0.05, 0.95, K), v_bar=np.linspace(0.9, 0.2, L))
+        span = K + L
+        env = SpyEnvironment(inst, np.random.default_rng(21))
+        ref = Environment(inst, np.random.default_rng(21))
+        arm_rng = np.random.default_rng(22)
+        m = env.block_steps
+        rows, cols = arm_rng.integers(K, size=7 + 2 * m), arm_rng.integers(L, size=7 + 2 * m)
+        want = [(ref.step(int(i), int(j)), ref.cum_pseudo_regret, ref.cum_stochastic_regret)
+                for i, j in zip(rows, cols)]
+        got = [(env.step(int(i), int(j)), env.cum_pseudo_regret, env.cum_stochastic_regret)
+               for i, j in zip(rows[:7], cols[:7])]
+        for a in (7, 7 + m):
+            rewards, pseudo, stoch = env.play(rows[a:a + m], cols[a:a + m])
+            got += list(zip(rewards.tolist(), pseudo.tolist(), stoch.tolist()))
+        assert got == want
+        cs = env.chunk_steps
+        if span < _JUMP_SPAN:
+            assert env.jumped == []
+            drawn = -(-(7 + 2 * m) // cs) * cs
+        else:
+            drawn = 7 + 2 * m
+            # steps cs to 7 + m, then 7 + m to 7 + 2m, each read from the
+            # stream a generator at the state after cs steps draws
+            first = 7 + m - cs
+            z = stream_uniforms(21, cs, 2 * m + 7 - cs, span)
+            best = [int(np.argmax(inst.u_bar)), K + int(np.argmax(inst.v_bar))]
+            t = np.arange(cs, 7 + 2 * m)
+            local = np.column_stack((rows[t], cols[t] + K, np.full(t.size, best[0]),
+                                     np.full(t.size, best[1])))
+            want_z = np.take_along_axis(z, local, axis=1)
+            assert [len(x) for x in env.jumped] == [first, m]
+            assert np.concatenate(env.jumped).view(np.uint64).tolist() == want_z.view(np.uint64).tolist()
+        assert env._rng.bit_generator.state == drawn_state(21, drawn * span)
+
+    def test_jump_keeps_a_buffered_half_word(self):
+        # advance drops the 32-bit half that a uint32 draw buffers, and
+        # drawing doubles keeps it; play must leave the state drawing would
+        inst = Rank1Instance(u_bar=np.full(50, 0.5), v_bar=np.full(50, 0.5))
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for g in (rng, ref):
+            g.integers(0, 10, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        Environment(inst, rng).play(np.zeros(100, int), np.zeros(100, int))
+        ref.random(100 * 100)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_jump_state_is_linear_in_k_plus_l(self):
+        # after a block played by skip-ahead at 1024x1024, the environment
+        # holds 4 uint64 per row and column and O(log block) constants
+        inst = Rank1Instance(u_bar=np.full(1024, 0.5), v_bar=np.full(1024, 0.5))
+        span = inst.K + inst.L
+        tracemalloc.start()
+        try:
+            env = Environment(inst, np.random.default_rng(0))
+            base = tracemalloc.get_traced_memory()[0]
+            out = env.play(np.zeros(env.block_steps, int), np.ones(env.block_steps, int))
+            del out
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert env._offset_jumps.shape == (4, span) and env._offset_jumps.dtype == np.uint64
+        assert len(env._stride_jumps) <= env.block_steps.bit_length()
+        assert env._chunk.size == 0
+        assert held <= 4 * 8 * span + 1024 * env.block_steps.bit_length(), held
 
     def test_reads_k_plus_l_uniforms_per_step_rows_first(self):
         K, L = self.INST.K, self.INST.L
@@ -148,16 +222,31 @@ class TestEnvironmentPlay:
         assert env.steps == 0
 
 
-class RecordingRng:
-    """An environment generator that records the size of each draw."""
+def drawn_state(seed, n):
+    """The state of a generator seeded with ``seed`` after n doubles."""
+    rng = np.random.default_rng(seed)
+    for a in range(0, n, 1 << 20):
+        rng.random(min(n - a, 1 << 20))
+    return rng.bit_generator.state
 
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.sizes = []
 
-    def random(self, size):
-        self.sizes.append(size)
-        return self._rng.random(size)
+def stream_uniforms(seed, skip, steps, span):
+    """The stream's uniforms of steps skip to skip + steps, one row each."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(skip * span)
+    return rng.random(steps * span).reshape(steps, span)
+
+
+class SpyEnvironment(Environment):
+    """An environment that keeps the uniforms of every skip-ahead."""
+
+    def __init__(self, inst, rng):
+        super().__init__(inst, rng)
+        self.jumped = []
+
+    def _jump(self, local, z):
+        super()._jump(local, z)
+        self.jumped.append(z.copy())
 
 
 def zero_noise_env(u, v, seed=0):

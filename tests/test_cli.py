@@ -167,6 +167,19 @@ class TestRun:
         assert code == 1
 
 
+    def test_missing_out_dir_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_many called")
+
+        monkeypatch.setattr("rank1bandit.cli.run_many", no_run)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(self.run_flags(out)) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and str(tmp_path / "missing") in err
+        assert ".tmp" not in err and "running" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweep:
     def sweep_flags(self, outdir, sizes="2", policies="ucb1", extra=()):
         return [
@@ -229,4 +242,15 @@ class TestSweep:
         flags[flags.index("--horizon") + 1] = "3"
         assert main(flags) == 1
         assert list(tmp_path.rglob("*.csv")) == []
+        assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("jobs_flag, jobs_env", [("0", None), (None, "x"), (None, "0")])
+    def test_bad_job_count_creates_no_directory(self, tmp_path, capsys, monkeypatch,
+                                                jobs_flag, jobs_env):
+        extra = ["--jobs", jobs_flag] if jobs_flag is not None else []
+        monkeypatch.setenv("RANK1BANDIT_JOBS", jobs_env or "1")
+        assert main(self.sweep_flags(tmp_path / "sw", extra=extra)) == 1
+        err = capsys.readouterr().err
+        assert "jobs" in err or "RANK1BANDIT_JOBS" in err
+        assert "[1/1]" not in err
         assert not (tmp_path / "sw").exists()

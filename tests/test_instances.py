@@ -422,6 +422,19 @@ class TestEnvironment:
             env.step(0, 0)
         assert env.steps == 37
 
+    @pytest.mark.parametrize("make_rng", [
+        lambda: np.random.Generator(np.random.MT19937(0)),
+        lambda: np.random.Generator(np.random.PCG64DXSM(0)),
+        lambda: np.random.RandomState(0),
+        lambda: None,
+    ])
+    def test_rejects_a_generator_not_driven_by_pcg64(self, make_rng):
+        # play computes uniforms by PCG64's skip-ahead, so no other stream
+        # could be played alike by step and play
+        inst = Rank1Instance(u_bar=[0.5], v_bar=[0.5])
+        with pytest.raises(ValueError, match="PCG64"):
+            Environment(inst, make_rng())
+
     @pytest.mark.parametrize("n", [64, 1024])
     def test_construction_is_linear_in_k_plus_l(self, n):
         # an Environment holds O(K+L) state until it draws: at most 64 bytes
