@@ -143,11 +143,6 @@ _JUMP_SPAN = 96
 _PIECE = 1024
 
 
-def _jump_limbs(A: int, C: int) -> tuple[np.uint64, ...]:
-    """The map s -> A*s + C as the uint64 limbs (A hi, A lo, C hi, C lo)."""
-    return tuple(np.uint64(x) for x in (A >> 64, A & _MASK64, C >> 64, C & _MASK64))
-
-
 def _affine128(ah, al, ch, cl, xh, xl):
     """(A*x + C) mod 2**128 on uint64 limbs (hi, lo), elementwise; the low
     product's high word is assembled from 32-bit halves."""
@@ -210,10 +205,11 @@ class Environment:
         self._pos = 0
         # skip-ahead tables, built by the first play that jumps, for the
         # generator's increment _jump_inc: _offset_jumps[:, o] is the jump
-        # by o + 1 draws and _stride_jumps[k] the jump by 2**k * (K+L)
+        # by o + 1 draws and _stride_jumps[k] the jump by 2**k * (K+L) draws,
+        # for 2**k up to _PIECE
         self._jump_inc = None
         self._offset_jumps = None
-        self._stride_jumps = []
+        self._stride_jumps = None
         self.steps = 0
         self.cum_pseudo_regret = 0.0
         self.cum_stochastic_regret = 0.0
@@ -232,15 +228,16 @@ class Environment:
         s, inc = state["state"]["state"], state["state"]["inc"]
         n = len(local)
         if inc != self._jump_inc:
-            A, C, table = 1, 0, []
+            # each jump s -> A*s + C as its limbs (A hi, A lo, C hi, C lo)
+            A, C, table, strides = 1, 0, [], []
             for _ in range(self._span):
                 A, C = A * _PCG64_MULT & _MASK128, (C * _PCG64_MULT + inc) & _MASK128
                 table += (A >> 64, A & _MASK64, C >> 64, C & _MASK64)
-            self._offset_jumps = np.array(table, dtype=np.uint64).reshape(-1, 4).T.copy()
-            self._stride_jumps = []
-            while len(self._stride_jumps) < _PIECE.bit_length():
-                self._stride_jumps.append(_jump_limbs(A, C))
+            for _ in range(_PIECE.bit_length()):
+                strides += (A >> 64, A & _MASK64, C >> 64, C & _MASK64)
                 A, C = A * A & _MASK128, (A * C + C) & _MASK128
+            self._offset_jumps = np.array(table, dtype=np.uint64).reshape(-1, 4).T.copy()
+            self._stride_jumps = np.array(strides, dtype=np.uint64).reshape(-1, 4)
             self._jump_inc = inc
         # the state after t*(K+L) draws for each t of the first piece, by
         # doubling, and for each later piece by one more jump of a piece

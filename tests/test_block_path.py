@@ -172,6 +172,20 @@ class TestEnvironmentPlay:
         ref.random(100 * 100)
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    def test_jump_follows_a_replaced_generator_state(self):
+        # the jump tables depend on the generator's increment; a state set
+        # from another seed's generator must be played with that one's
+        inst = Rank1Instance(u_bar=np.linspace(0.1, 0.9, 60), v_bar=np.linspace(0.9, 0.1, 40))
+        rng = np.random.default_rng(4)
+        env = Environment(inst, rng)
+        rows, cols = np.arange(300) % 60, np.arange(300) % 40
+        env.play(rows, cols)
+        other = np.random.default_rng(5)
+        assert other.bit_generator.state["state"]["inc"] != rng.bit_generator.state["state"]["inc"]
+        rng.bit_generator.state = other.bit_generator.state
+        ref = Environment(inst, other)
+        assert env.play(rows, cols)[0].tolist() == [ref.step(int(i), int(j)) for i, j in zip(rows, cols)]
+
     def test_jump_state_is_linear_in_k_plus_l(self):
         # after a block played by skip-ahead at 1024x1024, the environment
         # holds 4 uint64 per row and column and O(log block) constants
