@@ -147,16 +147,13 @@ class TestEnvironmentPlay:
             drawn = -(-(7 + 2 * m) // cs) * cs
         else:
             drawn = 7 + 2 * m
-            # steps cs to 7 + m, then 7 + m to 7 + 2m, each read from the
-            # stream a generator at the state after cs steps draws
-            first = 7 + m - cs
-            z = stream_uniforms(21, cs, 2 * m + 7 - cs, span)
-            best = [int(np.argmax(inst.u_bar)), K + int(np.argmax(inst.v_bar))]
+            # the steps after the first chunk were jumped, in two calls
+            assert [len(x) for x in env.jumped] == [7 + m - cs, m]
             t = np.arange(cs, 7 + 2 * m)
-            local = np.column_stack((rows[t], cols[t] + K, np.full(t.size, best[0]),
-                                     np.full(t.size, best[1])))
-            want_z = np.take_along_axis(z, local, axis=1)
-            assert [len(x) for x in env.jumped] == [first, m]
+            best_row, best_col = int(np.argmax(inst.u_bar)), int(np.argmax(inst.v_bar))
+            local = np.column_stack((rows[t], cols[t] + K, np.full(t.size, best_row),
+                                     np.full(t.size, K + best_col)))
+            want_z = stream_reads(21, cs, local, span)
             assert np.concatenate(env.jumped).view(np.uint64).tolist() == want_z.view(np.uint64).tolist()
         assert env._rng.bit_generator.state == drawn_state(21, drawn * span)
 
@@ -244,11 +241,16 @@ def drawn_state(seed, n):
     return rng.bit_generator.state
 
 
-def stream_uniforms(seed, skip, steps, span):
-    """The stream's uniforms of steps skip to skip + steps, one row each."""
+def stream_reads(seed, skip, local, span):
+    """The uniforms ``rng.random`` gives at offsets local[t] of step
+    skip + t of the stream of a generator seeded with ``seed``."""
     rng = np.random.default_rng(seed)
     rng.bit_generator.advance(skip * span)
-    return rng.random(steps * span).reshape(steps, span)
+    out = np.empty(local.shape)
+    for a in range(0, len(local), 256):
+        z = rng.random(min(256, len(local) - a) * span).reshape(-1, span)
+        out[a:a + len(z)] = np.take_along_axis(z, local[a:a + len(z)], axis=1)
+    return out
 
 
 class SpyEnvironment(Environment):

@@ -55,6 +55,14 @@ class TestGenInstance:
         inst = load_instance(out)
         assert inst.u_bar.tolist() == [0.8, 0.4, 0.2, 0.1]
 
+    def test_missing_out_dir_names_it(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "inst.json"
+        code = main(["gen-instance", "--kind", "needle", "--K", "2", "--L", "2",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "missing") in err and ".tmp" not in err
+
     def test_missing_k_is_usage_error(self, tmp_path, capsys):
         code = main([
             "gen-instance", "--kind", "needle", "--L", "8",
