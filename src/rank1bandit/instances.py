@@ -8,6 +8,7 @@ rank-one outer product u_bar v_bar^T.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -157,6 +158,58 @@ def _affine128(ah, al, ch, cl, xh, xl):
     return hi, out
 
 
+def _limbs(values) -> tuple[np.ndarray, np.ndarray]:
+    """Python ints below 2**128 as the uint64 arrays of their (hi, lo) words."""
+    return (np.array([v >> 64 for v in values], np.uint64),
+            np.array([v & _MASK64 for v in values], np.uint64))
+
+
+def _jump_by(n: int) -> tuple[int, int]:
+    """(A, G) such that n draws take the state s to A*s + G*inc mod 2**128,
+    whatever the increment inc (Brown 1994)."""
+    A, G, a, g = 1, 0, _PCG64_MULT, 1
+    while n:
+        if n & 1:
+            A, G = a * A & _MASK128, (a * G + g) & _MASK128
+        a, g = a * a & _MASK128, (a * g + g) & _MASK128
+        n >>= 1
+    return A, G
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_free_jumps(span: int) -> tuple[int, np.ndarray]:
+    """b = ceil(sqrt(span)) and the limbs (A hi, A lo, G hi, G lo) of the
+    jumps by 1..b draws, by q*b draws for q < ceil(span / b), and by
+    2**k * span draws for 2**k up to ``_PIECE``, in the columns of one
+    array of about 4*(2*sqrt(span) + 11) uint64."""
+    b = math.isqrt(span - 1) + 1
+    counts = [*range(1, b + 1), *range(0, span, b), *(span << k for k in range(_PIECE.bit_length()))]
+    A, G = zip(*map(_jump_by, counts))
+    return b, np.stack(_limbs(A) + _limbs(G))
+
+
+def _jump_tables(span: int, inc: int) -> tuple[np.ndarray, np.ndarray]:
+    """The jumps s -> A*s + C for increment ``inc`` as limbs (A hi, A lo,
+    C hi, C lo): by o + 1 draws in column o of a (4, span) array, and by
+    2**k * span draws in row k of a (k, 4) array, for 2**k up to
+    ``_PIECE``."""
+    b, free = _seed_free_jumps(span)
+    # C = G*inc for every jump in one pass, then the jump by q*b + r + 1
+    # draws as the jump by r + 1 followed by the jump by q*b
+    zero = np.uint64(0)
+    ch, cl = _affine128(np.uint64(inc >> 64), np.uint64(inc & _MASK64), zero, zero, free[2], free[3])
+    jumps = np.stack((free[0], free[1], ch, cl))
+    n_long = -(-span // b)
+    short, long = jumps[:, :b], jumps[:, b:b + n_long]
+    # (A, C) of the short jumps, times A and plus (0, C) of each long one
+    zeros = np.zeros(n_long, np.uint64)
+    hi, lo = _affine128(long[0, :, None, None], long[1, :, None, None],
+                        np.column_stack((zeros, long[2]))[:, :, None],
+                        np.column_stack((zeros, long[3]))[:, :, None], short[0::2], short[1::2])
+    table = np.stack((hi[:, 0], lo[:, 0], hi[:, 1], lo[:, 1])).reshape(4, -1)[:, :span].copy()
+    return table, jumps[:, b + n_long:].T.copy()
+
+
 class Environment:
     """Plays pairs of an instance and accumulates the regrets.
 
@@ -228,16 +281,7 @@ class Environment:
         s, inc = state["state"]["state"], state["state"]["inc"]
         n = len(local)
         if inc != self._jump_inc:
-            # each jump s -> A*s + C as its limbs (A hi, A lo, C hi, C lo)
-            A, C, table, strides = 1, 0, [], []
-            for _ in range(self._span):
-                A, C = A * _PCG64_MULT & _MASK128, (C * _PCG64_MULT + inc) & _MASK128
-                table += (A >> 64, A & _MASK64, C >> 64, C & _MASK64)
-            for _ in range(_PIECE.bit_length()):
-                strides += (A >> 64, A & _MASK64, C >> 64, C & _MASK64)
-                A, C = A * A & _MASK128, (A * C + C) & _MASK128
-            self._offset_jumps = np.array(table, dtype=np.uint64).reshape(-1, 4).T.copy()
-            self._stride_jumps = np.array(strides, dtype=np.uint64).reshape(-1, 4)
+            self._offset_jumps, self._stride_jumps = _jump_tables(self._span, inc)
             self._jump_inc = inc
         # the state after t*(K+L) draws for each t of the first piece, by
         # doubling, and for each later piece by one more jump of a piece

@@ -358,9 +358,26 @@ class UCB1(Policy):
     Plays every arm once in row-major order, then the arm maximizing
     mean + sqrt(2 ln(t) / count) with t the one-based step number, ties
     to the lowest flat index.
+
+    The argmax skips its K*L pass while the leader stays clear, and plays
+    the same arms as the pass would.  A full pass at step t that picks
+    the same arm a as the two full passes before it also stores
+    T = t + ``_WINDOW`` and the bound M, the largest index over the arms
+    b != a at step T, built by the same float operations into the same
+    buffer.  Until T only a is played, so no other arm's mean or count
+    changes, and the width w does not shrink as the step grows; fl(w*r)
+    and fl(m + x) are monotone in w and x, so M bounds every other arm's
+    index at every step up to T, rounding included.  A step up to T whose
+    leader index, the same two operations in the same order, lies
+    strictly above M plays a without the pass; any other step runs it,
+    so ties still go to the lowest flat index.  Right after the sweep the
+    leader changes almost every step, and at 64x64 a bound stored after
+    only two agreeing passes served no step 93% of the time.
     """
 
     name = "ucb1"
+    # steps a bound covers past the full pass that stored it
+    _WINDOW = 32
 
     def __init__(self, K: int, L: int, horizon: int, rng: np.random.Generator):
         super().__init__(K, L, horizon, rng)
@@ -372,12 +389,34 @@ class UCB1(Policy):
         self._means = np.zeros(n_arms)
         self._inv_sqrt = np.zeros(n_arms)
         self._buf = np.empty(n_arms)
+        # the last full pass's arm, how many passes before it in a row
+        # picked it too, and its bound on the others' index up to step
+        # _until (none stored: -1)
+        self._leader = -1
+        self._repeats = 0
+        self._until = -1
+        self._bound = math.inf
 
     def _select(self) -> tuple[int, int]:
         t = self.t
         if t < self._n_arms:
             return divmod(t, self.L)
-        return divmod(int(self._index(t).argmax()), self.L)
+        a = self._leader
+        if t <= self._until:
+            width = math.sqrt(2.0 * math.log(t + 1))
+            if self._means.item(a) + width * self._inv_sqrt.item(a) > self._bound:
+                return divmod(a, self.L)
+        b = int(self._index(t).argmax())
+        self._leader = b
+        self._repeats = repeats = self._repeats + 1 if b == a else 0
+        if repeats >= 2 and self._WINDOW:
+            until = t + self._WINDOW
+            buf = self._index(until)
+            buf[b] = -math.inf
+            self._until, self._bound = until, float(buf.max())
+        else:
+            self._until = -1
+        return divmod(b, self.L)
 
     def _index(self, t: int) -> np.ndarray:
         """Every arm's index at step t + 1, once each arm has been played,
@@ -497,6 +536,9 @@ class KLUCB(UCB1):
     """
 
     name = "klucb"
+    # no shortcut: the solver's monotonicity in the budget is not
+    # established in floating point, so every step runs the full pass
+    _WINDOW = 0
 
     def _index(self, t: int) -> np.ndarray:
         log_t = math.log(t + 1)

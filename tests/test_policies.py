@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rank1bandit.instances import Environment, Rank1Instance, needle_instance
+from rank1bandit.instances import Environment, Rank1Instance, needle_instance, pbm_like_instance
 from rank1bandit.policies import (
     KLUCB,
     POLICIES,
@@ -56,6 +56,20 @@ def drive(policy, env, steps):
 
 def zero_noise_env(u, v, seed=0):
     return Environment(Rank1Instance(u_bar=u, v_bar=v), np.random.default_rng(seed))
+
+
+def index_calls(policy):
+    """Wrap ``policy._index`` and return the list it appends to: per call,
+    how many steps ahead of the current one the index was built."""
+    ahead = []
+    index = policy._index
+
+    def counted(t):
+        ahead.append(t - policy.t)
+        return index(t)
+
+    policy._index = counted
+    return ahead
 
 
 class TestProtocol:
@@ -351,6 +365,63 @@ class TestUCB1:
             pol.update(pol.select(), np.int8(1))
         assert pol._means[0] == 1.0
 
+    @pytest.mark.parametrize("inst", [
+        needle_instance(4, 4, 0.25, 0.25, 0.5, 0.5),
+        needle_instance(2, 2, 0.25, 0.25, 0.5, 0.5),
+        pbm_like_instance(8, 8, 0.85, 0.5915),
+    ], ids=["needle4x4", "needle2x2", "pbm8x8"])
+    def test_shortcut_plays_the_full_pass_argmax(self, inst):
+        # the arm of every step equals a fresh argmax over all K*L indices,
+        # while most steps after the sweep skip the pass
+        K, L, steps = inst.K, inst.L, 20_000
+        pol = UCB1(K, L, steps, np.random.default_rng(0))
+        env = Environment(inst, np.random.default_rng(1))
+        ahead = index_calls(pol)
+        for t in range(steps):
+            want = t
+            if t >= K * L:
+                width = math.sqrt(2.0 * math.log(t + 1))
+                want = int(np.argmax(pol._means + width * pol._inv_sqrt))
+            arm = pol.select()
+            assert arm == divmod(want, L), t
+            pol.update(arm, env.step(*arm))
+        # every call is a full pass at its step or a bound a window ahead
+        passes, bounds = ahead.count(0), ahead.count(UCB1._WINDOW)
+        assert passes + bounds == len(ahead)
+        assert 0 < bounds and passes < 0.3 * (steps - K * L), (passes, bounds)
+
+    def test_shortcut_on_a_single_arm(self):
+        # the bound is the max over one -inf, so the shortcut always holds
+        pol = UCB1(1, 1, 500, np.random.default_rng(0))
+        ahead = index_calls(pol)
+        rewards = np.random.default_rng(2).integers(0, 2, 500).tolist()
+        for t, reward in enumerate(rewards):
+            assert pol.select() == (0, 0)
+            pol.update((0, 0), reward)
+            s = sum(rewards[:t + 1])
+            assert pol._counts.tolist() == [t + 1.0]
+            assert pol._means.tolist() == [s / (t + 1.0)]
+            assert pol._inv_sqrt.tolist() == [1.0 / math.sqrt(t + 1.0)]
+        assert pol._bound == -math.inf
+        # three agreeing passes, then one pass and one bound per window + 1 steps
+        assert ahead.count(0) <= 3 + 500 // (UCB1._WINDOW + 1)
+
+    def test_tie_with_the_bound_runs_the_full_pass(self):
+        # all rewards 0 on two arms: the indices tie whenever the counts do,
+        # and the arms cycle in row-major order
+        pol = UCB1(1, 2, 401, np.random.default_rng(0))
+        for t in range(400):
+            arm = pol.select()
+            assert arm == (0, t % 2), t
+            pol.update(arm, 0)
+        # a leader whose index equals the stored bound is not clear of it:
+        # the full pass breaks the tie toward the lowest flat index
+        width = math.sqrt(2.0 * math.log(pol.t + 1))
+        assert pol._means[1] + width * pol._inv_sqrt[1] == width * pol._inv_sqrt[0]
+        pol._leader, pol._until = 1, pol.t + 1
+        pol._bound = width * pol._inv_sqrt.item(0)
+        assert pol.select() == (0, 0)
+
     def test_deterministic_given_seed(self):
         inst = needle_instance(2, 3, 0.2, 0.2, 0.3, 0.3)
         runs = []
@@ -432,3 +503,11 @@ class TestKLUCBPolicy:
         pol = KLUCB(1, 1, 20, np.random.default_rng(0))
         env = zero_noise_env([1.0], [1.0])
         assert drive(pol, env, 20) == [(0, 0)] * 20
+
+    def test_every_step_after_the_sweep_runs_the_full_pass(self):
+        # the KL index has no shortcut: one solver call per step, none ahead
+        inst = needle_instance(2, 3, 0.2, 0.2, 0.3, 0.3)
+        pol = KLUCB(2, 3, 300, np.random.default_rng(0))
+        ahead = index_calls(pol)
+        drive(pol, Environment(inst, np.random.default_rng(1)), 300)
+        assert ahead == [0] * (300 - 6)
