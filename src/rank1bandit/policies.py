@@ -389,11 +389,16 @@ class UCB1(Policy):
         self._means = np.zeros(n_arms)
         self._inv_sqrt = np.zeros(n_arms)
         self._buf = np.empty(n_arms)
-        # the last full pass's arm, how many passes before it in a row
-        # picked it too, and its bound on the others' index up to step
-        # _until (none stored: -1)
+        # views for one entry at a time, about half the cost of .item and
+        # of numpy's item assignment
+        self._count_of = memoryview(self._counts)
+        self._mean_of = memoryview(self._means)
+        self._inv_sqrt_of = memoryview(self._inv_sqrt)
+        # the last full pass's arm, whether the pass before it picked it
+        # too, and its bound on the others' index up to step _until (none
+        # stored: -1)
         self._leader = -1
-        self._repeats = 0
+        self._agreed = False
         self._until = -1
         self._bound = math.inf
 
@@ -404,18 +409,19 @@ class UCB1(Policy):
         a = self._leader
         if t <= self._until:
             width = math.sqrt(2.0 * math.log(t + 1))
-            if self._means.item(a) + width * self._inv_sqrt.item(a) > self._bound:
+            if self._mean_of[a] + width * self._inv_sqrt_of[a] > self._bound:
                 return divmod(a, self.L)
+            self._until = -1
         b = int(self._index(t).argmax())
-        self._leader = b
-        self._repeats = repeats = self._repeats + 1 if b == a else 0
-        if repeats >= 2 and self._WINDOW:
+        if b != a:
+            self._leader, self._agreed = b, False
+        elif self._agreed and self._WINDOW:
             until = t + self._WINDOW
             buf = self._index(until)
             buf[b] = -math.inf
             self._until, self._bound = until, float(buf.max())
         else:
-            self._until = -1
+            self._agreed = True
         return divmod(b, self.L)
 
     def _index(self, t: int) -> np.ndarray:
@@ -429,14 +435,14 @@ class UCB1(Policy):
 
     def _update(self, i: int, j: int, reward: int) -> None:
         a = i * self.L + j
-        c = self._counts.item(a) + 1.0
-        self._counts[a] = c
+        c = self._count_of[a] + 1.0
+        self._count_of[a] = c
         s = self._sums[a]
         if reward:
             # a Python int whatever the reward's type: an int8 sum would wrap
             self._sums[a] = s = s + 1
-        self._means[a] = s / c
-        self._inv_sqrt[a] = 1.0 / math.sqrt(c)
+        self._mean_of[a] = s / c
+        self._inv_sqrt_of[a] = 1.0 / math.sqrt(c)
 
 
 class UCB1Elim(BlockPolicy):
