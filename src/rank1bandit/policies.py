@@ -537,7 +537,7 @@ class KLUCB(UCB1):
     the largest upper confidence bound at divergence budget
     ln(t) + 3*ln(ln(t)) (clamped at zero) is played.  Every step
     re-solves one bound per arm with ``kl_ucb_upper_many``, about 0.1 ms
-    at 16x16 (256 arms) on a 2-core x86-64 VM against 2.6 us for UCB1, so
+    at 16x16 (256 arms) on a 2-core x86-64 VM against 2.2 us for UCB1, so
     this baseline still costs far more per step than the others.
     """
 

@@ -10,7 +10,7 @@ with the standard error of that mean.  The cells are:
 * needle 16x16: rank1elimkl, ucb1, ucb1elim, rank1elim
 * pbm-like 16x16 (PBM_SPEC): rank1elimkl, ucb1, rank1elim
 
-The full module took 2m49s of wall clock (5m21s of CPU) on a 2-core
+The full module took 1m50s of wall clock (3m24s of CPU) on a 2-core
 x86-64 Linux machine with the default two worker processes.
 """
 
