@@ -30,10 +30,13 @@ def _info(msg: str) -> None:
 
 
 def _check_out_dir(path: str) -> None:
-    """Fail before any work if the directory that is to hold ``path`` is missing."""
+    """Fail before any work if the directory that is to hold ``path`` is
+    missing, or if ``path`` is itself a directory."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise FileNotFoundError(f"cannot write {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
 
 
 def cmd_gen_instance(args: argparse.Namespace) -> int:
@@ -116,10 +119,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     jobs = resolve_jobs(args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
-    for idx, (policy, size, config) in enumerate(cells, start=1):
+    paths = [os.path.join(args.out_dir, f"{policy}_{size}x{size}.csv") for policy, size, _ in cells]
+    for path in paths:
+        _check_out_dir(path)
+    for idx, ((policy, size, config), path) in enumerate(zip(cells, paths), start=1):
         _info(f"[{idx}/{len(cells)}] {policy} K=L={size}")
         result = run_many(config, jobs=jobs)
-        path = os.path.join(args.out_dir, f"{policy}_{size}x{size}.csv")
         write_trace_csv(result, path)
         _info(f"  wrote {path}")
     return 0

@@ -8,7 +8,6 @@ rank-one outer product u_bar v_bar^T.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -158,56 +157,39 @@ def _affine128(ah, al, ch, cl, xh, xl):
     return hi, out
 
 
-def _limbs(values) -> tuple[np.ndarray, np.ndarray]:
-    """Python ints below 2**128 as the uint64 arrays of their (hi, lo) words."""
-    return (np.array([v >> 64 for v in values], np.uint64),
-            np.array([v & _MASK64 for v in values], np.uint64))
+def _split_jumps(A: int, C: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the map J: s -> A*s + C mod 2**128, the limbs (A hi, A lo, C hi,
+    C lo) of J**r for r < b and of J**(q*b) for q <= n // b, b = isqrt(n) + 1,
+    in the columns of two uint64 arrays; every t <= n is q*b + r, so J**t is
+    J**r followed by J**(q*b)."""
+    b = math.isqrt(n) + 1
+    short = [(1, 0)]
+    for _ in range(b):
+        a, c = short[-1]
+        short.append((A * a & _MASK128, (A * c + C) & _MASK128))
+    A_b, C_b = short.pop()
+    long = [(1, 0)]
+    for _ in range(n // b):
+        a, c = long[-1]
+        long.append((A_b * a & _MASK128, (A_b * c + C_b) & _MASK128))
+    return tuple(np.array([[v >> k & _MASK64 for v in vs] for vs in zip(*js) for k in (64, 0)], np.uint64)
+                 for js in (short, long))
 
 
-def _jump_by(n: int) -> tuple[int, int]:
-    """(A, G) such that n draws take the state s to A*s + G*inc mod 2**128,
-    whatever the increment inc (Brown 1994)."""
-    A, G, a, g = 1, 0, _PCG64_MULT, 1
-    while n:
-        if n & 1:
-            A, G = a * A & _MASK128, (a * G + g) & _MASK128
-        a, g = a * a & _MASK128, (a * g + g) & _MASK128
-        n >>= 1
-    return A, G
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_free_jumps(span: int) -> tuple[int, np.ndarray]:
-    """b = ceil(sqrt(span)) and the limbs (A hi, A lo, G hi, G lo) of the
-    jumps by 1..b draws, by q*b draws for q < ceil(span / b), and by
-    2**k * span draws for 2**k up to ``_PIECE``, in the columns of one
-    array of about 4*(2*sqrt(span) + 11) uint64."""
-    b = math.isqrt(span - 1) + 1
-    counts = [*range(1, b + 1), *range(0, span, b), *(span << k for k in range(_PIECE.bit_length()))]
-    A, G = zip(*map(_jump_by, counts))
-    return b, np.stack(_limbs(A) + _limbs(G))
-
-
-def _jump_tables(span: int, inc: int) -> tuple[np.ndarray, np.ndarray]:
-    """The jumps s -> A*s + C for increment ``inc`` as limbs (A hi, A lo,
-    C hi, C lo): by o + 1 draws in column o of a (4, span) array, and by
-    2**k * span draws in row k of a (k, 4) array, for 2**k up to
-    ``_PIECE``."""
-    b, free = _seed_free_jumps(span)
-    # C = G*inc for every jump in one pass, then the jump by q*b + r + 1
-    # draws as the jump by r + 1 followed by the jump by q*b
-    zero = np.uint64(0)
-    ch, cl = _affine128(np.uint64(inc >> 64), np.uint64(inc & _MASK64), zero, zero, free[2], free[3])
-    jumps = np.stack((free[0], free[1], ch, cl))
-    n_long = -(-span // b)
-    short, long = jumps[:, :b], jumps[:, b:b + n_long]
-    # (A, C) of the short jumps, times A and plus (0, C) of each long one
-    zeros = np.zeros(n_long, np.uint64)
+def _jump_tables(span: int, inc: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """For increment ``inc``: the jumps by o + 1 draws as limbs (A hi, A lo,
+    C hi, C lo) in column o of a (4, span) array, and the split of the jump
+    by span draws up to ``_PIECE``."""
+    short, long = _split_jumps(_PCG64_MULT, inc, span)
+    # the jump by q*b + r draws for every q and r: (A, C) of the short
+    # jumps, times A and plus (0, C) of each long one
+    zeros = np.zeros(long.shape[1], np.uint64)
     hi, lo = _affine128(long[0, :, None, None], long[1, :, None, None],
                         np.column_stack((zeros, long[2]))[:, :, None],
                         np.column_stack((zeros, long[3]))[:, :, None], short[0::2], short[1::2])
-    table = np.stack((hi[:, 0], lo[:, 0], hi[:, 1], lo[:, 1])).reshape(4, -1)[:, :span].copy()
-    return table, jumps[:, b + n_long:].T.copy()
+    table = np.stack((hi[:, 0], lo[:, 0], hi[:, 1], lo[:, 1])).reshape(4, -1)[:, 1:span + 1].copy()
+    A, C = (int(table[k, -1]) << 64 | int(table[k + 1, -1]) for k in (0, 2))
+    return table, _split_jumps(A, C, _PIECE)
 
 
 class Environment:
@@ -229,8 +211,10 @@ class Environment:
     reading what is left of the chunk and then the steps after it: below
     K + L = ``_JUMP_SPAN`` from fresh chunks, and from there up by
     skip-ahead (Brown, "Random number generation with arbitrary strides",
-    1994), which computes only the four uniforms each step reads and then
-    advances the generator by (K+L) per step, as drawing would.  So
+    1994), which computes only the four uniforms each step reads.  Every
+    jump, by an offset within a step or by whole steps, is a short jump
+    followed by a long one from a split of about 2*sqrt(n) jumps; the
+    generator's state is then set to where drawing would leave it.  So
     ``rng`` must be driven by a ``PCG64``.  The two can be interleaved
     freely.
     ``block_steps`` is the block length a caller of ``play`` should use:
@@ -258,11 +242,11 @@ class Environment:
         self._pos = 0
         # skip-ahead tables, built by the first play that jumps, for the
         # generator's increment _jump_inc: _offset_jumps[:, o] is the jump
-        # by o + 1 draws and _stride_jumps[k] the jump by 2**k * (K+L) draws,
-        # for 2**k up to _PIECE
+        # by o + 1 draws and _piece_jumps the split of the jump by K + L
+        # draws up to _PIECE
         self._jump_inc = None
         self._offset_jumps = None
-        self._stride_jumps = None
+        self._piece_jumps = None
         self.steps = 0
         self.cum_pseudo_regret = 0.0
         self.cum_stochastic_regret = 0.0
@@ -281,32 +265,26 @@ class Environment:
         s, inc = state["state"]["state"], state["state"]["inc"]
         n = len(local)
         if inc != self._jump_inc:
-            self._offset_jumps, self._stride_jumps = _jump_tables(self._span, inc)
+            self._offset_jumps, self._piece_jumps = _jump_tables(self._span, inc)
             self._jump_inc = inc
-        # the state after t*(K+L) draws for each t of the first piece, by
-        # doubling, and for each later piece by one more jump of a piece
-        p = min(n, _PIECE)
-        sh, sl = np.empty(p, np.uint64), np.empty(p, np.uint64)
-        sh[0], sl[0] = s >> 64, s & _MASK64
-        w, k = 1, 0
-        while w < p:
-            e = min(p, 2 * w)
-            sh[w:e], sl[w:e] = _affine128(*self._stride_jumps[k], sh[:e - w], sl[:e - w])
-            w, k = e, k + 1
+        short, long = self._piece_jumps
+        sh, sl = np.uint64(s >> 64), np.uint64(s & _MASK64)
         for a in range(0, n, _PIECE):
-            if a:
-                sh, sl = _affine128(*self._stride_jumps[-1], sh, sl)
             b = min(n, a + _PIECE)
-            # each step's four states, XSL-RR, and Generator.random's float
+            # the state after t*(K+L) draws from the piece's start, for
+            # t = q*b + r at row q, column r; then each step's four states,
+            # XSL-RR, and Generator.random's float
+            ph, pl = _affine128(*long, sh, sl)
+            ph, pl = (x.ravel() for x in _affine128(*short, ph[:, None], pl[:, None]))
             hi, lo = _affine128(*(t.take(local[a:b]) for t in self._offset_jumps),
-                                sh[:b - a, None], sl[:b - a, None])
+                                ph[:b - a, None], pl[:b - a, None])
             v, rot = hi ^ lo, hi >> np.uint64(58)
             out = (v >> rot) | (v << ((np.uint64(64) - rot) & np.uint64(63)))
             np.multiply(out >> np.uint64(11), 2.0**-53, out=z[a:b])
-        bg.advance(n * self._span)
-        if state["has_uint32"]:
-            # advance drops a buffered 32-bit half, which drawing would keep
-            bg.state = {**bg.state, "has_uint32": 1, "uinteger": state["uinteger"]}
+            sh, sl = ph[b - a], pl[b - a]
+        # the state dict read on entry keeps any buffered 32-bit half
+        state["state"]["state"] = int(sh) << 64 | int(sl)
+        bg.state = state
 
     def step(self, i: int, j: int) -> int:
         K = self._K

@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 
 import rank1bandit.harness as harness
 from rank1bandit.harness import ExperimentConfig, default_checkpoints, derive_seed, run_one
-from rank1bandit.instances import _JUMP_SPAN, Environment, Rank1Instance, save_instance
+from rank1bandit.instances import (
+    _JUMP_SPAN,
+    _PCG64_MULT,
+    _PIECE,
+    Environment,
+    Rank1Instance,
+    _split_jumps,
+    save_instance,
+)
 from rank1bandit.policies import (
     KLUCB,
     UCB1,
@@ -120,7 +128,7 @@ class TestEnvironmentPlay:
         assert (env.steps, env.cum_pseudo_regret, env.cum_stochastic_regret) == (
             ref.steps, ref.cum_pseudo_regret, ref.cum_stochastic_regret)
 
-    @pytest.mark.parametrize("K, L", [(60, _JUMP_SPAN - 61), (60, _JUMP_SPAN - 60), (1024, 1024)])
+    @pytest.mark.parametrize("K, L", [(60, _JUMP_SPAN - 61), (60, _JUMP_SPAN - 60), (60, 40), (1024, 1024)])
     def test_play_after_steps_reads_the_stream(self, K, L):
         # 7 steps draw a chunk, then two blocks: the first begins mid-chunk.
         # Just below the crossover play draws whole chunks; from it up it
@@ -158,8 +166,8 @@ class TestEnvironmentPlay:
         assert env._rng.bit_generator.state == drawn_state(21, drawn * span)
 
     def test_jump_keeps_a_buffered_half_word(self):
-        # advance drops the 32-bit half that a uint32 draw buffers, and
-        # drawing doubles keeps it; play must leave the state drawing would
+        # drawing doubles keeps the 32-bit half that a uint32 draw buffers;
+        # play must leave the state drawing would, that half included
         inst = Rank1Instance(u_bar=np.full(50, 0.5), v_bar=np.full(50, 0.5))
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         for g in (rng, ref):
@@ -185,7 +193,7 @@ class TestEnvironmentPlay:
 
     def test_jump_state_is_linear_in_k_plus_l(self):
         # after a block played by skip-ahead at 1024x1024, the environment
-        # holds 4 uint64 per row and column and O(log block) constants
+        # holds 4 uint64 per row and column and O(sqrt(_PIECE)) constants
         inst = Rank1Instance(u_bar=np.full(1024, 0.5), v_bar=np.full(1024, 0.5))
         span = inst.K + inst.L
         tracemalloc.start()
@@ -198,7 +206,7 @@ class TestEnvironmentPlay:
         finally:
             tracemalloc.stop()
         assert env._offset_jumps.shape == (4, span) and env._offset_jumps.dtype == np.uint64
-        assert len(env._stride_jumps) <= env.block_steps.bit_length()
+        assert sum(x.size for x in env._piece_jumps) <= 4 * 2 * (math.isqrt(_PIECE) + 1)
         assert env._chunk.size == 0
         assert held <= 4 * 8 * span + 1024 * env.block_steps.bit_length(), held
 
@@ -231,6 +239,23 @@ class TestEnvironmentPlay:
         rewards, pseudo, stoch = env.play([], [])
         assert rewards.size == pseudo.size == stoch.size == 0
         assert env.steps == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 95, 96, 99, 100, 120, 121, 1024, 2048])
+def test_split_rebuilds_every_jump_up_to_n(n):
+    # J**r followed by J**(q*b) is t = q*b + r steps of J: s -> A*s + C, for
+    # every t <= n, at perfect squares and their neighbours too
+    A, C, mask = _PCG64_MULT, 0x5851F42D4C957F2D14057B7EF767814F, (1 << 128) - 1
+    (short_a, short_c), (long_a, long_c) = (
+        [[int(h) << 64 | int(lo) for h, lo in zip(limbs[k], limbs[k + 1])] for k in (0, 2)]
+        for limbs in _split_jumps(A, C, n))
+    b = len(short_a)
+    assert b == math.isqrt(n) + 1 and len(long_a) == n // b + 1
+    a, c = 1, 0
+    for t in range(n + 1):
+        q, r = divmod(t, b)
+        assert (long_a[q] * short_a[r] & mask, (long_a[q] * short_c[r] + long_c[q]) & mask) == (a, c), t
+        a, c = A * a & mask, (A * c + C) & mask
 
 
 def drawn_state(seed, n):

@@ -63,6 +63,16 @@ class TestGenInstance:
         err = capsys.readouterr().err
         assert str(tmp_path / "missing") in err and ".tmp" not in err
 
+    def test_out_that_is_a_directory_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        out.mkdir()
+        code = main(["gen-instance", "--kind", "needle", "--K", "2", "--L", "2",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: it is a directory" in err and ".tmp" not in err
+        assert list(tmp_path.rglob("*")) == [out]
+
     def test_missing_k_is_usage_error(self, tmp_path, capsys):
         code = main([
             "gen-instance", "--kind", "needle", "--L", "8",
@@ -187,6 +197,19 @@ class TestRun:
         assert ".tmp" not in err and "running" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_that_is_a_directory_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_many called")
+
+        monkeypatch.setattr("rank1bandit.cli.run_many", no_run)
+        out = tmp_path / "x.csv"
+        out.mkdir()
+        assert main(self.run_flags(out)) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: it is a directory" in err
+        assert ".tmp" not in err and "running" not in err
+        assert list(tmp_path.rglob("*")) == [out]
+
 
 class TestSweep:
     def sweep_flags(self, outdir, sizes="2", policies="ucb1", extra=()):
@@ -262,3 +285,16 @@ class TestSweep:
         assert "jobs" in err or "RANK1BANDIT_JOBS" in err
         assert "[1/1]" not in err
         assert not (tmp_path / "sw").exists()
+
+    def test_cell_path_that_is_a_directory_runs_no_cell(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_many called")
+
+        monkeypatch.setattr("rank1bandit.cli.run_many", no_run)
+        blocked = tmp_path / "sw" / "ucb1_3x3.csv"
+        blocked.mkdir(parents=True)
+        assert main(self.sweep_flags(tmp_path / "sw", sizes="2,3")) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {blocked}: it is a directory" in err
+        assert "[1/2]" not in err
+        assert list(tmp_path.rglob("*.csv")) == [blocked]
