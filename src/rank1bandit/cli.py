@@ -13,13 +13,7 @@ import os
 import sys
 
 from rank1bandit.harness import ExperimentConfig, resolve_jobs, run_many, write_trace_csv
-from rank1bandit.instances import (
-    compute_metrics,
-    needle_instance,
-    parse_instance_spec,
-    pbm_like_instance,
-    save_instance,
-)
+from rank1bandit.instances import compute_metrics, parse_instance_spec, save_instance
 from rank1bandit.policies import POLICIES
 
 _POLICY_NAMES = sorted(POLICIES)
@@ -40,11 +34,7 @@ def _check_out_dir(path: str) -> None:
 
 
 def cmd_gen_instance(args: argparse.Namespace) -> int:
-    if args.kind == "needle":
-        inst = needle_instance(args.K, args.L, args.p_u, args.p_v,
-                               args.delta_u, args.delta_v)
-    else:
-        inst = pbm_like_instance(args.K, args.L, args.head_mass, args.decay)
+    inst = parse_instance_spec(args.instance)
     _check_out_dir(args.out)
     save_instance(inst, args.out)
     _info(f"wrote {inst.K}x{inst.L} instance to {args.out}")
@@ -156,39 +146,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the instance every single-instance command takes
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument(
+        "--instance", required=True,
+        help="instance file path or inline spec such as "
+             "needle:K=8,L=8,p=0.25,gap=0.5 or "
+             "pbm-like:K=16,L=16,head_mass=0.85,decay=0.6",
+    )
+
     gen = sub.add_parser(
         "gen-instance",
-        help="generate an instance file",
-        description="Generate a rank-1 instance and write it to a file.",
+        parents=[instance],
+        help="write an instance file",
+        description="Build a rank-1 instance from a spec or file and write it to a file.",
     )
-    gen.add_argument("--kind", choices=["needle", "pbm-like"], required=True)
-    gen.add_argument("--K", type=int, required=True, help="number of rows")
-    gen.add_argument("--L", type=int, required=True, help="number of columns")
-    gen.add_argument("--p-u", type=float, default=0.25,
-                     help="needle: baseline row mean (default 0.25)")
-    gen.add_argument("--p-v", type=float, default=0.25,
-                     help="needle: baseline column mean (default 0.25)")
-    gen.add_argument("--delta-u", type=float, default=0.5,
-                     help="needle: row gap above baseline (default 0.5)")
-    gen.add_argument("--delta-v", type=float, default=0.5,
-                     help="needle: column gap above baseline (default 0.5)")
-    gen.add_argument("--head-mass", type=float, default=0.9,
-                     help="pbm-like: mean of the first coordinate (default 0.9)")
-    gen.add_argument("--decay", type=float, default=0.8,
-                     help="pbm-like: geometric decay per position (default 0.8)")
     gen.add_argument("--out", required=True, help="output instance file")
     gen.set_defaults(func=cmd_gen_instance)
 
     met = sub.add_parser(
         "metrics",
+        parents=[instance],
         help="print hardness metrics of an instance",
         description="Print best pair, gaps, mu, p_max, and gamma as key-value lines.",
-    )
-    met.add_argument(
-        "--instance", required=True,
-        help="instance file path or inline spec such as "
-             "needle:K=8,L=8,p=0.25,gap=0.5 or "
-             "pbm-like:K=16,L=16,head_mass=0.85,decay=0.6",
     )
     met.set_defaults(func=cmd_metrics)
 
@@ -203,13 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        parents=[runs],
+        parents=[instance, runs],
         help="run one policy on one instance and write a regret CSV",
         description="Run repeated seeded simulations and write the aggregate "
                     "regret trace as CSV.",
     )
-    run.add_argument("--instance", required=True,
-                     help="instance file path or inline generator spec")
     run.add_argument("--policy", choices=_POLICY_NAMES, required=True)
     run.add_argument("--out", required=True, help="output CSV path")
     run.set_defaults(func=cmd_run)

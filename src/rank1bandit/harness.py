@@ -39,6 +39,10 @@ _MASK64 = (1 << 64) - 1
 # child-stream tags folded into the seed chain; distinct per consumer
 _STREAM_TAGS = {"env": 0x01, "policy": 0x02}
 
+# the most steps run_one asks a block policy to plan and Environment.play to
+# score at once
+_BLOCK_STEPS = 4096
+
 JOBS_ENV_VAR = "RANK1BANDIT_JOBS"
 
 
@@ -196,9 +200,8 @@ def run_one(config: ExperimentConfig, run_index: int) -> RegretTrace:
     """Play one seeded run to the horizon, recording regret at checkpoints.
 
     Policies with a ``plan`` method are played a block at a time through
-    ``Environment.play``, each block at most ``env.block_steps`` steps
-    long (4,096, or one chunk of uniforms if that holds more steps); the
-    others one step at a time.  Both paths give the same bits.
+    ``Environment.play``, each block at most ``_BLOCK_STEPS`` (4,096)
+    steps long; the others one step at a time.  Both paths give the same bits.
     """
     if run_index < 0:
         raise ValueError("run_index must be nonnegative")
@@ -217,7 +220,7 @@ def run_one(config: ExperimentConfig, run_index: int) -> RegretTrace:
     if hasattr(policy, "plan"):
         t = 0  # steps played so far
         while t < config.horizon:
-            rows, cols = policy.plan(env.block_steps)
+            rows, cols = policy.plan(_BLOCK_STEPS)
             rewards, block_pseudo, block_stoch = env.play(rows, cols)
             policy.commit(rows, cols, rewards)
             first = t + 1  # the step the block began with

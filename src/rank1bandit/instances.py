@@ -217,8 +217,6 @@ class Environment:
     generator's state is then set to where drawing would leave it.  So
     ``rng`` must be driven by a ``PCG64``.  The two can be interleaved
     freely.
-    ``block_steps`` is the block length a caller of ``play`` should use:
-    4,096 steps, or one chunk if that is longer.
     """
 
     def __init__(self, inst: Rank1Instance, rng: np.random.Generator):
@@ -230,11 +228,9 @@ class Environment:
         self._v = inst.v_bar.tolist()
         self._K = inst.K
         self._span = inst.K + inst.L
-        self._best_row = int(np.argmax(inst.u_bar))
-        self._best_col = int(np.argmax(inst.v_bar))
-        self._best_value = float(inst.u_bar[self._best_row] * inst.v_bar[self._best_col])
+        m = compute_metrics(inst)
+        self._best_row, self._best_col, self._best_value = m.best_row, m.best_col, m.best_value
         self.chunk_steps = max(1, 32768 // self._span)
-        self.block_steps = max(4096, self.chunk_steps)
         # the current chunk of uniforms and a memoryview of it; _pos is the
         # offset of its first unread uniform, a multiple of K + L
         self._chunk = np.empty(0)
@@ -274,7 +270,7 @@ class Environment:
             # the state after t*(K+L) draws from the piece's start, for
             # t = q*b + r at row q, column r; then each step's four states,
             # XSL-RR, and Generator.random's float
-            ph, pl = _affine128(*long, sh, sl)
+            ph, pl = _affine128(*long[:, :(b - a) // short.shape[1] + 1], sh, sl)
             ph, pl = (x.ravel() for x in _affine128(*short, ph[:, None], pl[:, None]))
             hi, lo = _affine128(*(t.take(local[a:b]) for t in self._offset_jumps),
                                 ph[:b - a, None], pl[:b - a, None])

@@ -119,6 +119,9 @@ class BlockPolicy(Policy):
             raise ProtocolError(f"plan called after the horizon of {self.horizon} steps")
         if self._pending is not None:
             raise ProtocolError("plan called again before update or commit")
+        # int() would truncate 2.5 to 2 and play a bool as 0 or 1
+        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
+            raise ValueError(f"limit must be an integer, got {type(limit).__name__}")
         if limit < 1:
             raise ValueError(f"limit must be at least 1, got {limit!r}")
         rows, cols, state = self._plan(min(int(limit), self.horizon - self.t))

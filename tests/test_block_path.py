@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rank1bandit.harness as harness
-from rank1bandit.harness import ExperimentConfig, default_checkpoints, derive_seed, run_one
+from rank1bandit.harness import _BLOCK_STEPS, ExperimentConfig, default_checkpoints, derive_seed, run_one
 from rank1bandit.instances import (
     _JUMP_SPAN,
     _PCG64_MULT,
@@ -100,7 +100,7 @@ class TestEnvironmentPlay:
                 stepped.steps, stepped.cum_pseudo_regret, stepped.cum_stochastic_regret)
 
     def test_play_draws_a_chunk_at_a_time(self):
-        # a block of block_steps pairs, begun 5 steps into a 32-step chunk,
+        # a block of _BLOCK_STEPS pairs, begun 5 steps into a 32-step chunk,
         # reads the 27 steps left in it and then the next 4,069 steps'
         # four uniforms by skip-ahead, which leaves the generator where
         # drawing all their uniforms would; the 40 steps after it draw two
@@ -111,7 +111,7 @@ class TestEnvironmentPlay:
         env = Environment(self.WIDE, rng)
         ref = Environment(self.WIDE, np.random.default_rng(11))
         arm_rng = np.random.default_rng(12)
-        m = env.block_steps
+        m = _BLOCK_STEPS
         rows = arm_rng.integers(self.WIDE.K, size=m + 40)
         cols = arm_rng.integers(self.WIDE.L, size=m + 40)
         want = [ref.step(int(i), int(j)) for i, j in zip(rows, cols)]
@@ -139,7 +139,7 @@ class TestEnvironmentPlay:
         env = SpyEnvironment(inst, np.random.default_rng(21))
         ref = Environment(inst, np.random.default_rng(21))
         arm_rng = np.random.default_rng(22)
-        m = env.block_steps
+        m = _BLOCK_STEPS
         rows, cols = arm_rng.integers(K, size=7 + 2 * m), arm_rng.integers(L, size=7 + 2 * m)
         want = [(ref.step(int(i), int(j)), ref.cum_pseudo_regret, ref.cum_stochastic_regret)
                 for i, j in zip(rows, cols)]
@@ -200,7 +200,7 @@ class TestEnvironmentPlay:
         try:
             env = Environment(inst, np.random.default_rng(0))
             base = tracemalloc.get_traced_memory()[0]
-            out = env.play(np.zeros(env.block_steps, int), np.ones(env.block_steps, int))
+            out = env.play(np.zeros(_BLOCK_STEPS, int), np.ones(_BLOCK_STEPS, int))
             del out
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
@@ -208,7 +208,7 @@ class TestEnvironmentPlay:
         assert env._offset_jumps.shape == (4, span) and env._offset_jumps.dtype == np.uint64
         assert sum(x.size for x in env._piece_jumps) <= 4 * 2 * (math.isqrt(_PIECE) + 1)
         assert env._chunk.size == 0
-        assert held <= 4 * 8 * span + 1024 * env.block_steps.bit_length(), held
+        assert held <= 4 * 8 * span + 1024 * _BLOCK_STEPS.bit_length(), held
 
     def test_reads_k_plus_l_uniforms_per_step_rows_first(self):
         K, L = self.INST.K, self.INST.L
@@ -359,12 +359,14 @@ class TestPlanCommitProtocol:
 
     def test_plan_bad_limit_and_past_horizon(self):
         pol = UCB1Elim(1, 1, 5, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            pol.plan(0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                pol.plan(bad)
         env = zero_noise_env([1.0], [1.0])
-        # round 0 asks ceil(2 ln 5) = 4 pulls, then the horizon cuts
-        sizes = [play_block(pol, env, 100)[0].size for _ in range(2)]
-        assert sizes == [4, 1] and pol.t == 5
+        # round 0 asks ceil(2 ln 5) = 4 pulls, then the horizon cuts; a
+        # numpy integer limit is accepted
+        sizes = [play_block(pol, env, limit)[0].size for limit in (np.int64(3), 100, 100)]
+        assert sizes == [3, 1, 1] and pol.t == 5
         with pytest.raises(ProtocolError):
             pol.plan(1)
 

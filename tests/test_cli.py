@@ -7,14 +7,38 @@ report (the one subcommand whose output is meant for piping).
 
 from __future__ import annotations
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rank1bandit.cli import main
+from rank1bandit.cli import build_parser, main
 from rank1bandit.harness import default_checkpoints
 from rank1bandit.instances import Rank1Instance, load_instance, save_instance
 
 NEEDLE_2X2 = "needle:K=2,L=2,p=0.25,gap=0.5"
+
+
+def readme_commands() -> list[str]:
+    """Every ``rank1bandit ...`` command in the README's sh blocks, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("rank1bandit "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_commands()
+    assert len(commands) >= 4
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        build_parser().parse_args(argv)
 
 
 class TestTopLevel:
@@ -32,11 +56,8 @@ class TestTopLevel:
 class TestGenInstance:
     def test_needle_file_contents(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
-        code = main([
-            "gen-instance", "--kind", "needle", "--K", "32", "--L", "32",
-            "--p-u", "0.25", "--p-v", "0.25", "--delta-u", "0.5",
-            "--delta-v", "0.5", "--out", str(out),
-        ])
+        code = main(["gen-instance", "--instance", "needle:K=32,L=32,p=0.25,gap=0.5",
+                     "--out", str(out)])
         assert code == 0
         inst = load_instance(out)
         assert inst.K == 32 and inst.L == 32
@@ -47,18 +68,23 @@ class TestGenInstance:
 
     def test_pbm_like_file_contents(self, tmp_path):
         out = tmp_path / "inst.json"
-        code = main([
-            "gen-instance", "--kind", "pbm-like", "--K", "4", "--L", "4",
-            "--head-mass", "0.8", "--decay", "0.5", "--out", str(out),
-        ])
+        code = main(["gen-instance", "--instance", "pbm-like:K=4,L=4,head_mass=0.8,decay=0.5",
+                     "--out", str(out)])
         assert code == 0
         inst = load_instance(out)
         assert inst.u_bar.tolist() == [0.8, 0.4, 0.2, 0.1]
 
+    def test_file_path_round_trips(self, tmp_path):
+        src, out = tmp_path / "src.json", tmp_path / "out.json"
+        save_instance(Rank1Instance(u_bar=[0.3, 0.7, 0.1], v_bar=[0.25, 1.0]), src)
+        assert main(["gen-instance", "--instance", str(src), "--out", str(out)]) == 0
+        inst = load_instance(out)
+        assert inst.u_bar.tolist() == [0.3, 0.7, 0.1]
+        assert inst.v_bar.tolist() == [0.25, 1.0]
+
     def test_missing_out_dir_names_it(self, tmp_path, capsys):
         out = tmp_path / "missing" / "inst.json"
-        code = main(["gen-instance", "--kind", "needle", "--K", "2", "--L", "2",
-                     "--out", str(out)])
+        code = main(["gen-instance", "--instance", NEEDLE_2X2, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert str(tmp_path / "missing") in err and ".tmp" not in err
@@ -66,25 +92,27 @@ class TestGenInstance:
     def test_out_that_is_a_directory_fails_before_writing(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
         out.mkdir()
-        code = main(["gen-instance", "--kind", "needle", "--K", "2", "--L", "2",
-                     "--out", str(out)])
+        code = main(["gen-instance", "--instance", NEEDLE_2X2, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert f"cannot write {out}: it is a directory" in err and ".tmp" not in err
         assert list(tmp_path.rglob("*")) == [out]
 
-    def test_missing_k_is_usage_error(self, tmp_path, capsys):
-        code = main([
-            "gen-instance", "--kind", "needle", "--L", "8",
-            "--out", str(tmp_path / "x.json"),
-        ])
+    def test_missing_instance_is_usage_error(self, tmp_path, capsys):
+        code = main(["gen-instance", "--out", str(tmp_path / "x.json")])
         assert code == 2
+        assert "--instance" in capsys.readouterr().err
+
+    def test_spec_without_k_is_domain_error(self, tmp_path, capsys):
+        code = main(["gen-instance", "--instance", "needle:L=8,p=0.25,gap=0.5",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "requires K=<int>" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_out_of_range_params_domain_error(self, tmp_path, capsys):
-        code = main([
-            "gen-instance", "--kind", "needle", "--K", "8", "--L", "8",
-            "--p-u", "0.25", "--delta-u", "0.9", "--out", str(tmp_path / "x.json"),
-        ])
+        code = main(["gen-instance", "--instance", "needle:K=8,L=8,p=0.25,gap=0.5,delta_u=0.9",
+                     "--out", str(tmp_path / "x.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
         assert not (tmp_path / "x.json").exists()
