@@ -178,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs.add_argument("--runs", type=int, default=20)
     runs.add_argument("--seed", type=int, default=0, help="master seed")
     runs.add_argument("--jobs", type=int, default=None,
-                      help="worker processes (default: RANK1BANDIT_JOBS "
-                           "or the logical processor count)")
+                      help="worker processes (default: the logical processor count)")
 
     run = sub.add_parser(
         "run",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -28,6 +27,7 @@ import numpy as np
 from rank1bandit.instances import (
     Environment,
     HardnessMetrics,
+    _integer,
     _open_replacing,
     compute_metrics,
     parse_instance_spec,
@@ -42,8 +42,6 @@ _STREAM_TAGS = {"env": 0x01, "policy": 0x02}
 # the most steps run_one asks a block policy to plan and Environment.play to
 # score at once
 _BLOCK_STEPS = 4096
-
-JOBS_ENV_VAR = "RANK1BANDIT_JOBS"
 
 
 def _splitmix64(x: int) -> int:
@@ -68,8 +66,8 @@ def derive_seed(master_seed: int, run_index: int, stream: str) -> int:
         raise ValueError(
             f"unknown stream {stream!r}; expected one of {sorted(_STREAM_TAGS)}"
         ) from None
-    x = _splitmix64(master_seed & _MASK64)
-    x = _splitmix64(x ^ (run_index & _MASK64))
+    x = _splitmix64(_integer(master_seed, "master_seed") & _MASK64)
+    x = _splitmix64(x ^ (_integer(run_index, "run_index") & _MASK64))
     x = _splitmix64(x ^ tag)
     return x
 
@@ -81,8 +79,7 @@ def default_checkpoints(horizon: int) -> list[int]:
     one so the grid stays strictly increasing, which makes short horizons
     degrade gracefully into recording every step.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    horizon = _integer(horizon, "horizon", 1)
     pts: list[int] = []
     prev = 0
     for k in range(200):
@@ -93,13 +90,6 @@ def default_checkpoints(horizon: int) -> list[int]:
         prev = c
     pts.append(horizon)
     return pts
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int if it is an integer of any type but bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -125,12 +115,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown policy {self.policy!r}; expected one of {sorted(POLICIES)}"
             )
-        self.horizon = _integer(self.horizon, "horizon")
-        if self.horizon < 5:
-            raise ValueError("horizon must be an integer of at least 5")
-        self.runs = _integer(self.runs, "runs")
-        if self.runs < 1:
-            raise ValueError("runs must be a positive integer")
+        self.horizon = _integer(self.horizon, "horizon", 5)
+        self.runs = _integer(self.runs, "runs", 1)
         self.master_seed = _integer(self.master_seed, "master_seed")
         if self.checkpoints is not None:
             cps = [_integer(c, "each checkpoint") for c in self.checkpoints]
@@ -203,8 +189,7 @@ def run_one(config: ExperimentConfig, run_index: int) -> RegretTrace:
     ``Environment.play``, each block at most ``_BLOCK_STEPS`` (4,096)
     steps long; the others one step at a time.  Both paths give the same bits.
     """
-    if run_index < 0:
-        raise ValueError("run_index must be nonnegative")
+    run_index = _integer(run_index, "run_index", 0)
     inst = parse_instance_spec(config.instance)
     env_seed = derive_seed(config.master_seed, run_index, "env")
     policy_seed = derive_seed(config.master_seed, run_index, "policy")
@@ -250,23 +235,10 @@ def run_one(config: ExperimentConfig, run_index: int) -> RegretTrace:
 
 def resolve_jobs(jobs: int | None) -> int:
     """The worker count ``run_many`` uses for ``jobs``: itself, or when it is
-    None the RANK1BANDIT_JOBS environment variable, then os.cpu_count()."""
+    None os.cpu_count()."""
     if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR)
-        if env is not None:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{JOBS_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-        else:
-            jobs = os.cpu_count() or 1
-    else:
-        jobs = _integer(jobs, "jobs")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    return jobs
+        return os.cpu_count() or 1
+    return _integer(jobs, "jobs", 1)
 
 
 def run_many(config: ExperimentConfig, jobs: int | None = None) -> AggregateResult:
@@ -275,8 +247,7 @@ def run_many(config: ExperimentConfig, jobs: int | None = None) -> AggregateResu
     ``jobs`` > 1 fans runs out over worker processes; the result is
     bit-identical to the sequential one because each run is independently
     seeded and aggregation always happens in run-index order.  When jobs
-    is None the RANK1BANDIT_JOBS environment variable, then os.cpu_count(),
-    decides.
+    is None, os.cpu_count() decides.
     """
     jobs = resolve_jobs(jobs)
     indices = range(config.runs)
@@ -296,7 +267,7 @@ def run_many(config: ExperimentConfig, jobs: int | None = None) -> AggregateResu
         se_pseudo = np.zeros(pseudo.shape[1])
         se_stoch = np.zeros(stoch.shape[1])
     return AggregateResult(
-        steps=traces[0].steps if traces else [],
+        steps=traces[0].steps,
         mean_pseudo_regret=pseudo.mean(axis=0).tolist(),
         stderr_pseudo_regret=se_pseudo.tolist(),
         mean_stochastic_regret=stoch.mean(axis=0).tolist(),

@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int: an integer of any type but bool, at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -71,17 +81,15 @@ def needle_instance(
     K: int, L: int, p_u: float, p_v: float, delta_u: float, delta_v: float
 ) -> Rank1Instance:
     """One bumped row and column: u_bar = (p_u+delta_u, p_u, ..., p_u)."""
-    for name, dim in (("K", K), ("L", L)):
-        if int(dim) != dim or dim < 1:
-            raise ValueError(f"{name} must be a positive integer, got {dim!r}")
+    K, L = _integer(K, "K", 1), _integer(L, "L", 1)
     for name, p, d in (("u", p_u, delta_u), ("v", p_v, delta_v)):
         if d <= 0.0:
             raise ValueError(f"delta_{name} must be positive, got {d!r}")
         if p < 0.0 or p + d > 1.0:
             raise ValueError(f"need 0 <= p_{name} and p_{name} + delta_{name} <= 1")
-    u = np.full(int(K), p_u, dtype=np.float64)
+    u = np.full(K, p_u, dtype=np.float64)
     u[0] = p_u + delta_u
-    v = np.full(int(L), p_v, dtype=np.float64)
+    v = np.full(L, p_v, dtype=np.float64)
     v[0] = p_v + delta_v
     return Rank1Instance(u_bar=u, v_bar=v)
 
@@ -92,15 +100,13 @@ def pbm_like_instance(K: int, L: int, head_mass: float, decay: float) -> Rank1In
     Both vectors use the same scheme, giving a click-model-like profile
     with a few strong entries and a long weak tail.
     """
-    for name, dim in (("K", K), ("L", L)):
-        if int(dim) != dim or dim < 1:
-            raise ValueError(f"{name} must be a positive integer, got {dim!r}")
+    K, L = _integer(K, "K", 1), _integer(L, "L", 1)
     if head_mass < 0.0:
         raise ValueError(f"head_mass must be >= 0, got {head_mass!r}")
     if not 0.0 <= decay <= 1.0:
         raise ValueError(f"decay must lie in [0, 1], got {decay!r}")
-    u = np.clip(head_mass * decay ** np.arange(int(K), dtype=np.float64), 0.0, 1.0)
-    v = np.clip(head_mass * decay ** np.arange(int(L), dtype=np.float64), 0.0, 1.0)
+    u = np.clip(head_mass * decay ** np.arange(K, dtype=np.float64), 0.0, 1.0)
+    v = np.clip(head_mass * decay ** np.arange(L, dtype=np.float64), 0.0, 1.0)
     return Rank1Instance(u_bar=u, v_bar=v)
 
 
@@ -288,10 +294,7 @@ class Environment:
             # checked before a chunk is drawn: a float would fail only at the
             # lookups, after the draw, a bool would play index 0 or 1, and
             # a narrow numpy integer would overflow in the offsets below
-            if (isinstance(i, bool) or isinstance(j, bool)
-                    or not isinstance(i, (int, np.integer)) or not isinstance(j, (int, np.integer))):
-                raise ValueError(f"indices must be integers, got {type(i).__name__} and {type(j).__name__}")
-            i, j = int(i), int(j)
+            i, j = _integer(i, "row index"), _integer(j, "column index")
         if i < 0 or i >= K:
             raise IndexError(f"row index {i} outside [0, {K})")
         if j < 0 or j >= self._span - K:

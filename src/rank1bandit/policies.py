@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rank1bandit.instances import _integer
 from rank1bandit.klucb import kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
 
 
@@ -53,13 +54,9 @@ class Policy:
     name = "policy"
 
     def __init__(self, K: int, L: int, horizon: int, rng: np.random.Generator):
-        if int(K) != K or K < 1 or int(L) != L or L < 1:
-            raise ValueError(f"K and L must be positive integers, got {K!r}, {L!r}")
-        if int(horizon) != horizon or horizon < 5:
-            raise ValueError(f"horizon must be an integer >= 5, got {horizon!r}")
-        self.K = int(K)
-        self.L = int(L)
-        self.horizon = int(horizon)
+        self.K = _integer(K, "K", 1)
+        self.L = _integer(L, "L", 1)
+        self.horizon = _integer(horizon, "horizon", 5)
         self.rng = rng
         self.t = 0
         self._pending: tuple[int, int] | None = None
@@ -119,12 +116,8 @@ class BlockPolicy(Policy):
             raise ProtocolError(f"plan called after the horizon of {self.horizon} steps")
         if self._pending is not None:
             raise ProtocolError("plan called again before update or commit")
-        # int() would truncate 2.5 to 2 and play a bool as 0 or 1
-        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)):
-            raise ValueError(f"limit must be an integer, got {type(limit).__name__}")
-        if limit < 1:
-            raise ValueError(f"limit must be at least 1, got {limit!r}")
-        rows, cols, state = self._plan(min(int(limit), self.horizon - self.t))
+        limit = _integer(limit, "limit", 1)
+        rows, cols, state = self._plan(min(limit, self.horizon - self.t))
         self._pending = _Plan(rows, cols, state)
         return rows, cols
 
@@ -207,9 +200,9 @@ class Rank1ElimKL(BlockPolicy):
         self._h = [list(range(n)) for n in sizes]
         self._survivors = [list(range(n)) for n in sizes]
         self._stage = 0
-        self._n_target = math.ceil(16.0 * log_n)
+        self._n_target = 0
         self.stage_log: list[StageRecord] = []
-        self._begin_stage(self._n_target)
+        self._begin_stage()
 
     # read-only views used by tests and experiment reports
     @property
@@ -248,9 +241,13 @@ class Rank1ElimKL(BlockPolicy):
             kl_ucb_upper(mu_hat, pulls, self.budget),
         )
 
-    def _begin_stage(self, rounds: int) -> None:
+    def _begin_stage(self) -> None:
+        """Begin stage ``_stage``: its rounds raise each survivor's
+        observations from the last target to the stage's own."""
+        n_obs = self._n_target
+        self._n_target = math.ceil(16.0 * 4.0**self._stage * self._log_n)
         self._walk = np.array(self._survivors[0] + self._survivors[1])
-        self._stage_end = rounds * len(self._walk)
+        self._stage_end = (self._n_target - n_obs) * len(self._walk)
         self._pos = 0
 
     def _draw(self, n: int) -> list[tuple[int, int]]:
@@ -337,8 +334,7 @@ class Rank1ElimKL(BlockPolicy):
             )
         )
         self._stage += 1
-        self._n_target = math.ceil(16.0 * 4.0**self._stage * self._log_n)
-        self._begin_stage(self._n_target - n_obs)
+        self._begin_stage()
 
 
 class Rank1Elim(Rank1ElimKL):

@@ -12,7 +12,6 @@ import shlex
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from rank1bandit.cli import build_parser, main
 from rank1bandit.harness import default_checkpoints
@@ -184,13 +183,6 @@ class TestRun:
         assert main(self.run_flags(b, extra=["--jobs", "2"])) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_env_var_default(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(self.run_flags(a, extra=["--jobs", "1"])) == 0
-        monkeypatch.setenv("RANK1BANDIT_JOBS", "2")
-        assert main(self.run_flags(b)) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_unknown_policy_usage_error(self, tmp_path, capsys):
         code = main([
             "run", "--instance", NEEDLE_2X2, "--policy", "thompson",
@@ -292,7 +284,7 @@ class TestSweep:
     def test_bad_later_size_runs_no_cell(self, tmp_path, capsys):
         code = main(self.sweep_flags(tmp_path / "sw", sizes="2,0"))
         assert code == 1
-        assert "K must be a positive integer" in capsys.readouterr().err
+        assert "K must be at least 1, got 0" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
         assert not (tmp_path / "sw").exists()
 
@@ -303,14 +295,10 @@ class TestSweep:
         assert list(tmp_path.rglob("*.csv")) == []
         assert not (tmp_path / "sw").exists()
 
-    @pytest.mark.parametrize("jobs_flag, jobs_env", [("0", None), (None, "x"), (None, "0")])
-    def test_bad_job_count_creates_no_directory(self, tmp_path, capsys, monkeypatch,
-                                                jobs_flag, jobs_env):
-        extra = ["--jobs", jobs_flag] if jobs_flag is not None else []
-        monkeypatch.setenv("RANK1BANDIT_JOBS", jobs_env or "1")
-        assert main(self.sweep_flags(tmp_path / "sw", extra=extra)) == 1
+    def test_bad_job_count_creates_no_directory(self, tmp_path, capsys):
+        assert main(self.sweep_flags(tmp_path / "sw", extra=["--jobs", "0"])) == 1
         err = capsys.readouterr().err
-        assert "jobs" in err or "RANK1BANDIT_JOBS" in err
+        assert "jobs must be at least 1, got 0" in err
         assert "[1/1]" not in err
         assert not (tmp_path / "sw").exists()
 

@@ -24,13 +24,19 @@ from rank1bandit.harness import (
     derive_seed,
     load_config,
     read_trace_csv,
+    resolve_jobs,
     run_many,
     run_one,
     write_trace_csv,
     _splitmix64,
 )
-from rank1bandit.instances import Environment, parse_instance_spec
-from rank1bandit.policies import make_policy
+from rank1bandit.instances import (
+    Environment,
+    needle_instance,
+    parse_instance_spec,
+    pbm_like_instance,
+)
+from rank1bandit.policies import Policy, UCB1Elim, make_policy
 
 MASK = (1 << 64) - 1
 
@@ -214,7 +220,7 @@ class TestRunOne:
         assert a == b
 
     def test_negative_run_index(self):
-        with pytest.raises(ValueError, match="run_index must be nonnegative"):
+        with pytest.raises(ValueError, match="run_index must be at least 0, got -1"):
             run_one(small_config(), -1)
 
     def test_seed_fields(self):
@@ -278,11 +284,6 @@ class TestRunMany:
         assert seq.mean_pseudo_regret == par.mean_pseudo_regret
         assert seq.stderr_stochastic_regret == par.stderr_stochastic_regret
 
-    def test_jobs_from_the_environment_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("RANK1BANDIT_JOBS", "two")
-        with pytest.raises(ValueError, match="RANK1BANDIT_JOBS must be an integer, got 'two'"):
-            run_many(small_config())
-
     def test_jobs_must_be_an_integer(self):
         # a float used to fail inside the process pool, and True ran as 1 job
         for jobs in (1.5, True):
@@ -290,12 +291,9 @@ class TestRunMany:
                 run_many(small_config(runs=2), jobs=jobs)
         assert run_many(small_config(runs=2), jobs=np.int64(1)).steps
 
-    def test_jobs_must_be_at_least_one(self, monkeypatch):
+    def test_jobs_must_be_at_least_one(self):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_many(small_config(), jobs=0)
-        monkeypatch.setenv("RANK1BANDIT_JOBS", "0")
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            run_many(small_config())
 
     def test_metrics_echoed(self):
         res = run_many(small_config())
@@ -375,3 +373,56 @@ class TestCsv:
             fh.write("500,1.0,0.0\n")
         with pytest.raises(ValueError, match="expected 5 columns, got 3"):
             read_trace_csv(path)
+
+
+def _config(**fields) -> ExperimentConfig:
+    return ExperimentConfig(**{"instance": "needle:K=2,L=2,p=0.25,gap=0.5",
+                               "policy": "ucb1", "horizon": 100, "runs": 1, **fields})
+
+
+def _step(i, j) -> int:
+    env = Environment(needle_instance(10, 10, 0.25, 0.25, 0.5, 0.5), np.random.default_rng(0))
+    return env.step(i, j)
+
+
+# every scalar integer the package takes: the name its errors give, its
+# lower bound, and a call passing x in its place that returns what was
+# made of x (the stored value where one is kept)
+INTEGER_INPUTS = {
+    "Policy.K": ("K", 1, lambda x: Policy(x, 2, 100, np.random.default_rng(0)).K),
+    "Policy.L": ("L", 1, lambda x: Policy(2, x, 100, np.random.default_rng(0)).L),
+    "Policy.horizon": ("horizon", 5, lambda x: Policy(2, 2, x, np.random.default_rng(0)).horizon),
+    "BlockPolicy.plan": ("limit", 1, lambda x: [
+        a.tolist() for a in UCB1Elim(2, 2, 100, np.random.default_rng(0)).plan(x)]),
+    "needle_instance.K": ("K", 1, lambda x: needle_instance(x, 2, 0.25, 0.25, 0.5, 0.5).K),
+    "needle_instance.L": ("L", 1, lambda x: needle_instance(2, x, 0.25, 0.25, 0.5, 0.5).L),
+    "pbm_like_instance.K": ("K", 1, lambda x: pbm_like_instance(x, 2, 0.85, 0.6).K),
+    "pbm_like_instance.L": ("L", 1, lambda x: pbm_like_instance(2, x, 0.85, 0.6).L),
+    "Environment.step.i": ("row index", None, lambda x: _step(x, 0)),
+    "Environment.step.j": ("column index", None, lambda x: _step(0, x)),
+    "ExperimentConfig.horizon": ("horizon", 5, lambda x: _config(horizon=x).horizon),
+    "ExperimentConfig.runs": ("runs", 1, lambda x: _config(runs=x).runs),
+    "ExperimentConfig.master_seed": ("master_seed", None, lambda x: _config(master_seed=x).master_seed),
+    "ExperimentConfig.checkpoints": ("each checkpoint", None,
+                                     lambda x: _config(checkpoints=[x]).checkpoints[0]),
+    "derive_seed.master_seed": ("master_seed", None, lambda x: derive_seed(x, 0, "env")),
+    "derive_seed.run_index": ("run_index", None, lambda x: derive_seed(0, x, "env")),
+    "run_one": ("run_index", 0, lambda x: run_one(_config(horizon=5), x).run_index),
+    "default_checkpoints": ("horizon", 1, lambda x: default_checkpoints(x)[-1]),
+    "resolve_jobs": ("jobs", 1, resolve_jobs),
+}
+
+
+@pytest.mark.parametrize("entry", list(INTEGER_INPUTS))
+def test_every_integer_input_follows_one_rule(entry):
+    # a bool is no count, and a float, even a whole one, is no integer;
+    # any integer type is taken and kept as int
+    name, low, call = INTEGER_INPUTS[entry]
+    for bad in (True, np.bool_(True), 2.5, 8.0, np.float64(8.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(bad)
+    if low is not None:
+        with pytest.raises(ValueError, match=f"^{name} must be at least {low}, got {low - 1}$"):
+            call(low - 1)
+    got, want = call(np.int64(8)), call(8)
+    assert got == want and type(got) is type(want)

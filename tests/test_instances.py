@@ -115,9 +115,9 @@ class TestGenerators:
             needle_instance(0, 2, p_u=0.25, p_v=0.25, delta_u=0.5, delta_v=0.5)
 
     def test_geometric_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="K must be a positive integer"):
+        with pytest.raises(ValueError, match="K must be at least 1, got 0"):
             pbm_like_instance(0, 3, head_mass=0.8, decay=0.5)
-        with pytest.raises(ValueError, match="L must be a positive integer"):
+        with pytest.raises(ValueError, match="L must be an integer, got 2.5"):
             pbm_like_instance(3, 2.5, head_mass=0.8, decay=0.5)
 
     def test_geometric_decay_means(self):

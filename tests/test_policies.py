@@ -79,9 +79,12 @@ class TestProtocol:
                 cls(2, 2, 4, np.random.default_rng(0))
 
     def test_grid_shape_must_be_positive_integers(self):
-        for K, L in [(0, 2), (2, 0), (2.5, 2), (2, -1)]:
+        for K, L, msg in [(0, 2, "K must be at least 1, got 0"),
+                          (2, 0, "L must be at least 1, got 0"),
+                          (2.5, 2, "K must be an integer, got 2.5"),
+                          (2, -1, "L must be at least 1, got -1")]:
             for cls in POLICIES.values():
-                with pytest.raises(ValueError, match="K and L must be positive integers"):
+                with pytest.raises(ValueError, match=msg):
                     cls(K, L, 10, np.random.default_rng(0))
 
     def test_update_rejects_a_non_binary_reward(self):
