@@ -17,6 +17,9 @@ the slow flat KL policy), two runs each, which crosses two stage
 boundaries of the elimination policies; plus edge cells with K=1 and
 L=1 (horizon 2000, 500 for the flat KL policy), a horizon shorter than one elimination round, and a horizon that ends
 exactly on a stage boundary (needle 4x4 at n = 872 = 8 * ceil(16 ln 872)).
+The block policies also run the needle at 64x64, horizon 120,000, past
+two stage boundaries (one round of ``ucb1elim``): the only cells with
+K+L above 16, so the only ones whose blocks ``play`` draws by skip-ahead.
 ``--write`` prints to stderr, as ``moved: <file> <key>``, every fixture key
 whose value differs from the file it overwrites.
 
@@ -51,6 +54,7 @@ MASTER_SEED = 2017
 NEEDLE4 = "needle:K=4,L=4,p=0.25,gap=0.5"
 NEEDLE8 = "needle:K=8,L=8,p=0.25,gap=0.5"
 PBM8 = "pbm-like:K=8,L=8,head_mass=0.85,decay=0.6"
+NEEDLE64 = "needle:K=64,L=64,p=0.25,gap=0.5"
 
 
 def _cells() -> list[tuple[str, str, int]]:
@@ -65,6 +69,10 @@ def _cells() -> list[tuple[str, str, int]]:
         # one Rank1Elim round on 8x8 is 16 steps
         cells.append((policy, NEEDLE8, 10))
         cells.append((policy, NEEDLE4, 872))
+        if hasattr(POLICIES[policy], "plan"):
+            # the elimination stages end at steps 24,064 and 95,872, and
+            # ucb1elim's round 0 at 98,304
+            cells.append((policy, NEEDLE64, 120_000))
     return cells
 
 
