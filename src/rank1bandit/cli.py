@@ -218,10 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 after --help
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, RuntimeError, OSError) as exc:

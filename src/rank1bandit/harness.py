@@ -100,7 +100,7 @@ class ExperimentConfig:
     (``needle:K=8,L=8,p=0.25,gap=0.5`` or
     ``pbm-like:K=16,L=16,head_mass=0.85,decay=0.6``) or a path to a saved
     instance file.  ``checkpoints`` of None means the default log-spaced
-    grid for the horizon.
+    grid for the horizon; otherwise it is a nonempty list of steps.
     """
 
     instance: str
@@ -111,6 +111,9 @@ class ExperimentConfig:
     checkpoints: list[int] | None = None
 
     def __post_init__(self):
+        for name in ("instance", "policy"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if self.policy not in POLICIES:
             raise ValueError(
                 f"unknown policy {self.policy!r}; expected one of {sorted(POLICIES)}"
@@ -119,10 +122,13 @@ class ExperimentConfig:
         self.runs = _integer(self.runs, "runs", 1)
         self.master_seed = _integer(self.master_seed, "master_seed")
         if self.checkpoints is not None:
+            if not isinstance(self.checkpoints, (list, tuple)) or not self.checkpoints:
+                raise ValueError(
+                    f"checkpoints must be a nonempty list of integers, got {self.checkpoints!r}")
             cps = [_integer(c, "each checkpoint") for c in self.checkpoints]
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ValueError("checkpoints must be strictly increasing")
-            if cps and (cps[0] < 1 or cps[-1] > self.horizon):
+            if cps[0] < 1 or cps[-1] > self.horizon:
                 raise ValueError("checkpoints must lie in [1, horizon]")
             self.checkpoints = cps
 
@@ -207,7 +213,7 @@ def run_one(config: ExperimentConfig, run_index: int) -> RegretTrace:
         while t < config.horizon:
             rows, cols = policy.plan(_BLOCK_STEPS)
             rewards, block_pseudo, block_stoch = env.play(rows, cols)
-            policy.commit(rows, cols, rewards)
+            policy.commit(rewards)
             first = t + 1  # the step the block began with
             t += rows.size
             while nxt < len(checkpoints) and checkpoints[nxt] <= t:

@@ -135,6 +135,28 @@ class TestConfig:
             with pytest.raises(ValueError, match="integer"):
                 ExperimentConfig(**{**good, field: bad})
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("instance", 5, "instance must be a string, got 5"),
+        ("instance", None, "instance must be a string, got None"),
+        ("policy", ["ucb1"], r"policy must be a string, got \['ucb1'\]"),
+        ("checkpoints", 5, "checkpoints must be a nonempty list of integers, got 5"),
+        ("checkpoints", "abc", "checkpoints must be a nonempty list of integers, got 'abc'"),
+        ("checkpoints", [], r"checkpoints must be a nonempty list of integers, got \[\]"),
+        ("checkpoints", {"1": 1}, "checkpoints must be a nonempty list of integers, got {"),
+    ], ids=["instance-int", "instance-null", "policy-list", "checkpoints-int",
+            "checkpoints-str", "checkpoints-empty", "checkpoints-object"])
+    def test_fields_of_the_wrong_type(self, field, bad, message, tmp_path):
+        # given to the constructor or read from a file, each value is
+        # refused before any run, naming the field
+        raw = {"instance": "needle:K=2,L=2,p=0.25,gap=0.5", "policy": "ucb1",
+               "horizon": 100, field: bad}
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExperimentConfig(**raw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_config(path)
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -347,7 +369,7 @@ class TestCsv:
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_empty_checkpoints_header_only(self, tmp_path):
-        res = run_many(small_config(checkpoints=[]))
+        res = AggregateResult([], [], [], [], [])
         path = tmp_path / "e.csv"
         write_trace_csv(res, path)
         lines = path.read_text(encoding="utf-8").splitlines()

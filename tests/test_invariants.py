@@ -164,7 +164,7 @@ def test_elimination_invariants(name, K, L, horizon, seed, data):
             assert set(planned_rows.tolist()) <= rows and set(planned_cols.tolist()) <= cols
             rewards = [reward(i, j, pol.t + k) for k, (i, j) in
                        enumerate(zip(planned_rows.tolist(), planned_cols.tolist()))]
-            pol.commit(planned_rows, planned_cols, rewards)
+            pol.commit(rewards)
         check_state(pol, rows, cols, hits_u, hits_v)
         rows, cols = set(pol.remaining_rows), set(pol.remaining_cols)
     event(f"stages finished: {pol.stage}")

@@ -196,7 +196,7 @@ class TestRank1ElimKLSchedule:
         pol = Rank1ElimKL(2, 2, 10**4, np.random.default_rng(11))
         env = zero_noise_env([1.0, 0.0], [1.0, 1.0], seed=12)
         drive(pol, env, 591)
-        pol._S[0][1] = 149  # tampered: row 1 has had 148 observations
+        pol._S[1] = 149  # tampered: row 1 has had 148 observations
         with pytest.raises(ProtocolError, match="149 successes over 148"):
             drive(pol, env, 1)
 
@@ -204,12 +204,12 @@ class TestRank1ElimKLSchedule:
         pol = Rank1ElimKL(2, 2, 10**4, np.random.default_rng(11))
         env = zero_noise_env([1.0, 1.0], [1.0, 0.0], seed=12)
         rows, cols = pol.plan(591)
-        pol.commit(rows, cols, env.play(rows, cols)[0])
-        pol._S[1][0] = 149
+        pol.commit(env.play(rows, cols)[0])
+        pol._S[pol.K] = 149
         rows, cols = pol.plan(10)
         assert rows.size == 1
         with pytest.raises(ProtocolError, match="column 0 holds 149"):
-            pol.commit(rows, cols, env.play(rows, cols)[0])
+            pol.commit(env.play(rows, cols)[0])
 
     @pytest.mark.parametrize("block", [False, True], ids=["per_step", "block"])
     def test_failed_boundary_check_changes_nothing(self, block):
@@ -221,7 +221,7 @@ class TestRank1ElimKLSchedule:
         def play(steps):
             if block:
                 rows, cols = pol.plan(steps)
-                pol.commit(rows, cols, env.play(rows, cols)[0])
+                pol.commit(env.play(rows, cols)[0])
             else:
                 drive(pol, env, steps)
 
@@ -231,20 +231,22 @@ class TestRank1ElimKLSchedule:
 
         play(591)
         before = public_state()
-        pol._S[1][0] = 149
+        pol._S[pol.K] = 149
         with pytest.raises(ProtocolError, match="column 0 holds 149"):
             play(1)
         assert public_state() == before
 
     def test_success_checks_hold_under_python_O(self):
         # python -O strips assert statements: the two tamper tests above
-        # must still pass there
+        # must still pass there.  pytest warns that -O disables asserts,
+        # which the suite's warnings-as-errors setting would make fatal
         here = Path(__file__).resolve()
         tests = [f"{here}::TestRank1ElimKLSchedule::{name}" for name in (
             "test_more_successes_than_observations_raises",
             "test_column_successes_checked_on_the_block_path")]
         done = subprocess.run(
-            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-W", "ignore:assertions not in test modules:pytest.PytestConfigWarning", *tests],
             cwd=here.parent.parent, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0 and "2 passed" in done.stdout, done.stdout + done.stderr
 
