@@ -253,8 +253,10 @@ class Rank1ElimKL(BlockPolicy):
             # every entry of either side is its side's one survivor, and
             # survivors never grow back, so no output could read a draw
             return [(h[K] - K, h[0])] * n
-        return [(h[K + self.rng.integers(self.L)] - K, h[self.rng.integers(K)])
-                for _ in range(n)]
+        # one call draws the pairs the 2n scalar calls would, in the same
+        # order, and leaves the generator in the same state
+        drawn = self.rng.integers(0, [self.L, K], size=(n, 2)).tolist()
+        return [(h[K + j] - K, h[i]) for j, i in drawn]
 
     def _select(self) -> tuple[int, int]:
         o = self._pos % len(self._walk)
@@ -450,24 +452,28 @@ class UCB1Elim(BlockPolicy):
     exactly the previous target's pulls, and the round plays each
     survivor in turn ``_reps`` times, the difference of the two targets.
     Step ``_pos`` of a round plays survivor ``_pos // _reps`` (modulo
-    their number); cycling is the same walk with ``_reps`` = 1 and the
-    horizon, which no round reaches, as the round length.  ``plan``
+    their number ``_n``); cycling is the same walk with ``_reps`` = 1 and
+    the horizon, which no round reaches, as the round length.  ``plan``
     covers at most the rest of a round, whose elimination needs the
     rewards.
+
+    Round 0 keeps no candidate table: until the first elimination,
+    survivor p is arm p in row-major order, and ``_cands`` is None.  A
+    run that ends inside round 0 therefore holds only the zeroed sums.
     """
 
     name = "ucb1elim"
 
     def __init__(self, K: int, L: int, horizon: int, rng: np.random.Generator):
         super().__init__(K, L, horizon, rng)
-        n_arms = self.K * self.L
-        self._cands = np.arange(n_arms)
-        self._sums = np.zeros(n_arms, dtype=np.int64)
+        self._n = self.K * self.L
+        self._cands: np.ndarray | None = None
+        self._sums = np.zeros(self._n, dtype=np.int64)
         self._m = 0
         self._m_max = max(0, math.floor(0.5 * math.log2(self.horizon / math.e)))
         self._target = self.round_pull_target(self.horizon, 0)
         self._reps = self._target
-        self._round_len = self._reps * n_arms
+        self._round_len = self._reps * self._n
         self._pos = 0
 
     @staticmethod
@@ -478,10 +484,14 @@ class UCB1Elim(BlockPolicy):
 
     @property
     def remaining_arms(self) -> list[tuple[int, int]]:
-        return [(a // self.L, a % self.L) for a in self._cands.tolist()]
+        return [(a // self.L, a % self.L) for a in self._arm(np.arange(self._n)).tolist()]
+
+    def _arm(self, p):
+        """The arm at survivor position p, or the arms at an array of them."""
+        return p if self._cands is None else self._cands[p]
 
     def _select(self) -> tuple[int, int]:
-        a = int(self._cands[self._pos // self._reps % len(self._cands)])
+        a = int(self._arm(self._pos // self._reps % self._n))
         return (a // self.L, a % self.L)
 
     def _update(self, i: int, j: int, reward: int) -> None:
@@ -491,24 +501,35 @@ class UCB1Elim(BlockPolicy):
             self._close_round()
 
     def _plan(self, limit: int):
-        pos = self._pos
+        pos, reps = self._pos, self._reps
         self._pos = end = min(pos + limit, self._round_len)
-        arms = self._cands[np.arange(pos, end) // self._reps % len(self._cands)]
-        return arms // self.L, arms % self.L, arms
+        # each step's survivor position, counted from the block's first;
+        # only while cycling can a block wrap round the survivors, and its
+        # span of positions then holds each of them once
+        first = pos // reps
+        steps = np.arange(pos, end) // reps - first
+        width = min(self._n, int(steps[-1]) + 1)
+        span = self._arm((first + np.arange(width)) % self._n)
+        at = steps % width
+        arms = span[at]
+        return arms // self.L, arms % self.L, (span, at)
 
-    def _commit(self, hits, arms) -> None:
-        np.add.at(self._sums, arms, hits.view(np.int8))
+    def _commit(self, hits, block) -> None:
+        span, at = block
+        # no arm repeats within the span, so one fancy add takes every count
+        self._sums[span] += np.bincount(at[hits], minlength=span.size)
         if self._pos == self._round_len:
             self._close_round()
 
     def _close_round(self) -> None:
         n_m = self._target
         radius = math.sqrt(math.log(self.horizon * 4.0 ** (-self._m)) / (2.0 * n_m))
-        cands = self._cands
+        cands = self._arm(np.arange(self._n))
         # every survivor holds exactly n_m pulls
         means = self._sums[cands] / n_m
         cutoff = means.max() - radius
         self._cands = cands[means + radius >= cutoff]
+        self._n = len(self._cands)
         self._pos = 0
         if self._m >= self._m_max:
             # cycle to the horizon, which ends the run before this round
@@ -518,7 +539,7 @@ class UCB1Elim(BlockPolicy):
         self._m += 1
         self._target = self.round_pull_target(self.horizon, self._m)
         self._reps = self._target - n_m
-        self._round_len = self._reps * len(self._cands)
+        self._round_len = self._reps * self._n
 
 
 class KLUCB(UCB1):

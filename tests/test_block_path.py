@@ -412,6 +412,53 @@ class TestPlanCommitProtocol:
         assert trace.cum_stochastic_regret == stoch
         assert policy_state(pol) == policy_state(ref)
 
+    def test_ucb1elim_blocks_add_the_per_step_sums(self):
+        # horizon 690 on 2x2: round 0 tops every arm up to 14 pulls and
+        # drops row 0 at step 56; rounds 1-3 leave arms 2 and 3, which
+        # are cycled from step 638, so the blocks of 5 and 7 wrap round
+        # them, the second from the later one.  The blocks of 9 begin
+        # and end inside an arm's run of 14
+        env = zero_noise_env([0.0, 1.0], [1.0, 1.0])
+        ref_env = zero_noise_env([0.0, 1.0], [1.0, 1.0])
+        pol = UCB1Elim(2, 2, 690, np.random.default_rng(0))
+        ref = UCB1Elim(2, 2, 690, np.random.default_rng(0))
+        limits = [9] * 6 + [1000] * 4 + [5, 7, 1000]
+        for limit in limits:
+            rows, cols = play_block(pol, env, limit)
+            for arm in zip(rows.tolist(), cols.tolist()):
+                assert ref.select() == arm
+                ref.update(arm, ref_env.step(*arm))
+            assert pol._sums.tolist() == ref._sums.tolist()
+            assert policy_state(pol) == policy_state(ref)
+            if pol.t == 56:
+                assert pol.remaining_arms == [(1, 0), (1, 1)]
+            if pol.t == 643:
+                assert cols.tolist() == [0, 1, 0, 1, 0]
+            if pol.t == 650:
+                assert cols.tolist() == [1, 0, 1, 0, 1, 0, 1]
+        assert pol.t == 690 and pol._sums.tolist() == [0, 0, 331, 331]
+
+    def test_ucb1elim_round_0_holds_only_the_sums(self):
+        # at 1024x1024 and horizon 10^4, round 0 plays each arm 19 times
+        # and outlasts the run, so no candidate table is built: the three
+        # blocks to the horizon allocate the 8 MiB of sums and little else
+        rewards = np.random.default_rng(1).integers(0, 2, size=10_000)
+        # a small block first, so numpy's lazy imports are not measured
+        warm = UCB1Elim(2, 2, 100, np.random.default_rng(0))
+        warm.commit(np.zeros(warm.plan(10)[0].size, np.int8))
+        tracemalloc.start()
+        try:
+            pol = UCB1Elim(1024, 1024, 10_000, np.random.default_rng(0))
+            for _ in range(3):
+                rows, _ = pol.plan(_BLOCK_STEPS)
+                pol.commit(rewards[pol.t:pol.t + rows.size])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pol.t == 10_000
+        assert pol._sums[:527].sum() == pol._sums.sum() == rewards.sum()
+        assert peak < 9 * 2**20, peak
+
 
 def reference_loop(name, inst, horizon, master_seed, run_index):
     """run_one's seeds, played one select/update/step at a time."""
@@ -522,16 +569,17 @@ def test_mixed_protocols_leave_the_per_step_state(u, v, name, seed, moves):
 
 
 class CountingRng:
-    """A policy generator that counts its ``integers`` calls."""
+    """A policy generator that counts the values its ``integers`` draws."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
         self.bit_generator = self._rng.bit_generator
-        self.calls = 0
+        self.drawn = 0
 
     def integers(self, *args, **kwargs):
-        self.calls += 1
-        return self._rng.integers(*args, **kwargs)
+        out = self._rng.integers(*args, **kwargs)
+        self.drawn += np.size(out)
+        return out
 
 
 def draws_expected(pol) -> int:
@@ -575,9 +623,32 @@ def test_two_draws_per_round_begun_and_none_at_one_by_one(
             arm = pol.select()
             pol.update(arm, env.step(*arm))
         if calls_at_collapse is None and len(pol.remaining_rows) == len(pol.remaining_cols) == 1:
-            calls_at_collapse = rng.calls
-    assert rng.calls == draws_expected(pol) == draws
+            calls_at_collapse = rng.drawn
+    assert rng.drawn == draws_expected(pol) == draws
     if collapse_step is None:
         assert calls_at_collapse is None
     else:
         assert pol.stage_log[0].steps == collapse_step and calls_at_collapse == draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    L=st.integers(1, 2048),
+    K=st.integers(1, 2048),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    half_word=st.booleans(),
+)
+def test_one_integers_call_draws_the_scalar_pairs(L, K, n, seed, half_word):
+    # Rank1ElimKL._draw relies on this numpy behaviour, which numpy does not
+    # document: one call over the bounds [L, K] returns the (column, row)
+    # pairs of 2n alternating scalar calls and leaves the generator where
+    # they would, a buffered 32-bit half word included
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if half_word:
+        for g in (rng, ref):
+            g.integers(0, 10, dtype=np.uint32)
+    got = rng.integers(0, [L, K], size=(n, 2))
+    want = [[int(ref.integers(L)), int(ref.integers(K))] for _ in range(n)]
+    assert got.tolist() == want
+    assert rng.bit_generator.state == ref.bit_generator.state

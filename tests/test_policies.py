@@ -477,6 +477,18 @@ class TestUCB1Elim:
         arms = drive(pol, env, 100)
         assert arms == [(0, 0)] * 100
 
+    def test_every_arm_remains_in_row_major_order_until_round_0_ends(self):
+        # round 0 tops 12 arms up to 19 pulls, 228 steps; then only the
+        # two arms with mean 1 are left
+        pol = UCB1Elim(3, 4, 10**4, np.random.default_rng(0))
+        env = zero_noise_env([1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0])
+        every = [(i, j) for i in range(3) for j in range(4)]
+        assert pol.remaining_arms == every
+        drive(pol, env, 227)
+        assert pol.remaining_arms == every
+        drive(pol, env, 1)
+        assert pol.remaining_arms == [(0, 0), (0, 1)]
+
     def test_single_arm_never_eliminated(self):
         pol = UCB1Elim(1, 1, 100, np.random.default_rng(0))
         env = zero_noise_env([1.0], [1.0])
