@@ -31,7 +31,14 @@ from rank1bandit.instances import (
     pbm_like_instance,
     save_instance,
 )
-from rank1bandit.klucb import kl_div, kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
+from rank1bandit.klucb import (
+    kl_div,
+    kl_ucb_argmax,
+    kl_ucb_lower,
+    kl_ucb_lower_many,
+    kl_ucb_upper,
+    kl_ucb_upper_many,
+)
 from rank1bandit.policies import (
     KLUCB,
     POLICIES,
@@ -50,6 +57,8 @@ __all__ = [
     "kl_ucb_lower",
     "kl_ucb_upper",
     "kl_ucb_upper_many",
+    "kl_ucb_lower_many",
+    "kl_ucb_argmax",
     "Rank1Instance",
     "HardnessMetrics",
     "Environment",

@@ -17,14 +17,19 @@ within a run.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from rank1bandit.instances import _integer
-from rank1bandit.klucb import kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
+from rank1bandit.klucb import (
+    kl_ucb_argmax,
+    kl_ucb_lower,
+    kl_ucb_lower_many,
+    kl_ucb_upper,
+    kl_ucb_upper_many,
+)
 
 
 class ProtocolError(RuntimeError):
@@ -32,22 +37,11 @@ class ProtocolError(RuntimeError):
     elimination invariant."""
 
 
-def hoeffding_bounds(mu_hat: float, pulls: float, delta: float) -> tuple[float, float]:
-    """Distribution-free interval mu_hat +- sqrt(delta / (2*pulls)), clipped to [0, 1]."""
+def hoeffding_bounds(mu_hat, pulls: float, delta: float):
+    """Distribution-free interval mu_hat +- sqrt(delta / (2*pulls)), clipped
+    to [0, 1], of one mean or of each of an array of means."""
     radius = math.sqrt(delta / (2.0 * pulls))
-    return max(0.0, mu_hat - radius), min(1.0, mu_hat + radius)
-
-
-def absorb_dominated(h: list[int], upper, leader: int, leader_lower: float) -> list[int]:
-    """Re-point entries whose representative is dominated by the leader.
-
-    ``h[i]`` is the representative currently standing in for index i;
-    ``upper[r]`` the representative's upper confidence bound.  Any entry
-    whose representative's upper bound is at or below the leader's lower
-    bound (ties eliminate) is re-pointed at the leader, so stale pointers
-    follow their representative out.
-    """
-    return [leader if upper[r] <= leader_lower else r for r in h]
+    return np.maximum(0.0, mu_hat - radius), np.minimum(1.0, mu_hat + radius)
 
 
 class Policy:
@@ -231,9 +225,17 @@ class Rank1ElimKL(BlockPolicy):
         return self._S[self.K:].tolist()
 
     def confidence_bounds(self, mu_hat: float, pulls: int) -> tuple[float, float]:
+        """The interval of one mean."""
         return (
             kl_ucb_lower(mu_hat, pulls, self.budget),
             kl_ucb_upper(mu_hat, pulls, self.budget),
+        )
+
+    def _intervals(self, mu_hat: np.ndarray, pulls: int) -> tuple[np.ndarray, np.ndarray]:
+        """The interval of each of an array of means, in one call per bound."""
+        return (
+            kl_ucb_lower_many(mu_hat, pulls, self.budget),
+            kl_ucb_upper_many(mu_hat, pulls, self.budget),
         )
 
     def _begin_stage(self) -> None:
@@ -303,20 +305,26 @@ class Rank1ElimKL(BlockPolicy):
         """Eliminate on both sides, then begin the next stage.  Every
         success count is checked before anything changes."""
         n_obs, K = self._n_target, self.K
-        walk, counts = self._walk.tolist(), self._S.tolist()
-        for k in walk:
-            if not 0 <= counts[k] <= n_obs:
-                kind = f"row {k}" if k < K else f"column {k - K}"
-                raise ProtocolError(f"{kind} holds {counts[k]} successes over {n_obs} observations")
+        walk = np.asarray(self._walk)
+        counts = self._S[walk]
+        bad = (counts < 0) | (counts > n_obs)
+        if bad.any():
+            k, count = int(walk[bad][0]), int(counts[bad][0])
+            kind = f"row {k}" if k < K else f"column {k - K}"
+            raise ProtocolError(f"{kind} holds {count} successes over {n_obs} observations")
 
-        lower, upper = {}, {}
-        for k in walk:
-            lower[k], upper[k] = self.confidence_bounds(counts[k] / n_obs, n_obs)
-        n_rows = bisect.bisect_left(walk, K)
-        for survivors, side in ((walk[:n_rows], slice(None, K)), (walk[n_rows:], slice(K, None))):
-            leader = max(survivors, key=lambda k: (lower[k], -k))
-            self._h[side] = absorb_dominated(self._h[side], upper, leader, lower[leader])
-        self._walk = memoryview(np.array(sorted(set(self._h))))
+        lower, upper = self._intervals(counts / n_obs, n_obs)
+        # on each side, the leader holds the largest lower bound, ties to
+        # the lowest index; a survivor whose upper bound is at or below it
+        # (ties eliminate) is re-pointed at the leader, and every entry
+        # that pointed at it follows
+        to = np.arange(K + self.L)
+        n_rows = int(np.searchsorted(walk, K))
+        for side in (slice(0, n_rows), slice(n_rows, walk.size)):
+            lead = side.start + int(lower[side].argmax())
+            to[walk[side][upper[side] <= lower[lead]]] = walk[lead]
+        self._h = to[self._h].tolist()
+        self._walk = memoryview(walk[to[walk] == walk])
 
         self.stage_log.append(
             StageRecord(
@@ -341,8 +349,10 @@ class Rank1Elim(Rank1ElimKL):
 
     name = "rank1elim"
 
-    def confidence_bounds(self, mu_hat: float, pulls: int) -> tuple[float, float]:
+    def confidence_bounds(self, mu_hat, pulls: int):
         return hoeffding_bounds(mu_hat, pulls, self.budget)
+
+    _intervals = confidence_bounds
 
 
 class UCB1(Policy):
@@ -459,7 +469,8 @@ class UCB1Elim(BlockPolicy):
 
     Round 0 keeps no candidate table: until the first elimination,
     survivor p is arm p in row-major order, and ``_cands`` is None.  A
-    run that ends inside round 0 therefore holds only the zeroed sums.
+    run that ends inside round 0 therefore holds only the sums, and only
+    of the first ceil(horizon / reps) arms, the ones it can reach.
     """
 
     name = "ucb1elim"
@@ -468,13 +479,14 @@ class UCB1Elim(BlockPolicy):
         super().__init__(K, L, horizon, rng)
         self._n = self.K * self.L
         self._cands: np.ndarray | None = None
-        self._sums = np.zeros(self._n, dtype=np.int64)
         self._m = 0
         self._m_max = max(0, math.floor(0.5 * math.log2(self.horizon / math.e)))
         self._target = self.round_pull_target(self.horizon, 0)
         self._reps = self._target
         self._round_len = self._reps * self._n
         self._pos = 0
+        # every arm round 0 can reach: all of them if the round ends
+        self._sums = np.zeros(min(self._n, -(-self.horizon // self._reps)), dtype=np.int64)
 
     @staticmethod
     def round_pull_target(horizon: int, m: int) -> int:
@@ -547,21 +559,25 @@ class KLUCB(UCB1):
 
     UCB1 with another index: after the same initial sweep the arm with
     the largest upper confidence bound at divergence budget
-    ln(t) + 3*ln(ln(t)) (clamped at zero) is played.  Every step
-    re-solves one bound per arm with ``kl_ucb_upper_many``, about 0.1 ms
-    at 16x16 (256 arms) on a 2-core x86-64 VM against 2.2 us for UCB1, so
-    this baseline still costs far more per step than the others.
+    ln(t) + 3*ln(ln(t)) (clamped at zero) is played, ties to the lowest
+    flat index.  Every step takes it with ``kl_ucb_argmax``, which iterates
+    every arm's bound only until the largest is decided: about 60 us at
+    16x16 (256 arms) on a 2-core x86-64 VM, against about 105 us for
+    ``kl_ucb_upper_many`` on the same calls and 2.2 us for a UCB1 step, so
+    this baseline still costs far more per step than the others.  UCB1's
+    shortcut is not taken: the solver's monotonicity in the budget is not
+    established in floating point.
     """
 
     name = "klucb"
-    # no shortcut: the solver's monotonicity in the budget is not
-    # established in floating point, so every step runs the full pass
-    _WINDOW = 0
 
-    def _index(self, t: int) -> np.ndarray:
+    def _select(self) -> tuple[int, int]:
+        t = self.t
+        if t < self._n_arms:
+            return divmod(t, self.L)
         log_t = math.log(t + 1)
         budget = log_t + 3.0 * max(0.0, math.log(log_t))
-        return kl_ucb_upper_many(self._means, self._counts, budget)
+        return divmod(kl_ucb_argmax(self._means, self._counts, budget), self.L)
 
 
 POLICIES: dict[str, type[Policy]] = {

@@ -25,7 +25,7 @@ whose value differs from the file it overwrites.
 
 ``tests/golden/klucb.json`` freezes the KL solver the same way: the
 SHA-256 of ``float.hex`` of every output of ``kl_ucb_upper``,
-``kl_ucb_lower`` and ``kl_ucb_upper_many`` over a grid that holds the
+``kl_ucb_lower``, ``kl_ucb_upper_many`` and ``kl_ucb_lower_many`` over a grid that holds the
 degenerate means 0 and 1, a zero budget, budgets past delta/pulls =
 36.74 (where the upper bound of mean 0 rounds to 1) and the stage-0
 means S/188 of a run at horizon 120,000.
@@ -44,7 +44,7 @@ import pytest
 
 import rank1bandit.harness as harness
 from rank1bandit.harness import ExperimentConfig, run_many, write_trace_csv
-from rank1bandit.klucb import kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
+from rank1bandit.klucb import kl_ucb_lower, kl_ucb_lower_many, kl_ucb_upper, kl_ucb_upper_many
 from rank1bandit.policies import POLICIES
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "traces.json"
@@ -144,7 +144,7 @@ def _hex_digest(values) -> str:
 
 
 def kl_digests() -> dict:
-    """Digests of the three solvers over the grid, deltas outermost."""
+    """Digests of the four solvers over the grid, deltas outermost."""
     mus, pulls, deltas = _kl_grid()
     out = {
         name: _hex_digest(solve(m, n, d) for d in deltas for n in pulls for m in mus)
@@ -152,8 +152,9 @@ def kl_digests() -> dict:
     }
     mu_col = np.tile(mus, len(pulls))
     n_col = np.repeat(np.array(pulls, dtype=float), len(mus))
-    out["kl_ucb_upper_many"] = _hex_digest(
-        x for d in deltas for x in kl_ucb_upper_many(mu_col, n_col, d).tolist())
+    for name, solve in (("kl_ucb_upper_many", kl_ucb_upper_many),
+                        ("kl_ucb_lower_many", kl_ucb_lower_many)):
+        out[name] = _hex_digest(x for d in deltas for x in solve(mu_col, n_col, d).tolist())
     return out
 
 

@@ -18,7 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rank1bandit.klucb import _div, kl_div, kl_ucb_lower, kl_ucb_upper, kl_ucb_upper_many
+from rank1bandit.klucb import (
+    _div,
+    kl_div,
+    kl_ucb_argmax,
+    kl_ucb_lower,
+    kl_ucb_lower_many,
+    kl_ucb_upper,
+    kl_ucb_upper_many,
+)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -517,3 +525,119 @@ class TestScalarBounds:
             assert lo == pytest.approx(root, rel=1e-12, abs=0.0)
         else:
             assert lo == min(mu, TINY)
+
+
+def textbook_div(p: float, q: float) -> float:
+    """d(p, q) as p*(log p - log q) + (1-p)*(log(1-p) - log(1-q)), each
+    log taken apart so that no ratio overflows."""
+    if p == q:
+        return 0.0
+    if q <= 0.0 or q >= 1.0:
+        return math.inf
+    out = p * (math.log(p) - math.log(q)) if p > 0.0 else 0.0
+    return out + ((1.0 - p) * (math.log1p(-p) - math.log1p(-q)) if p < 1.0 else 0.0)
+
+
+@st.composite
+def tied_lanes(draw) -> list[tuple[float, int]]:
+    """Lanes drawn from a pool of a few (mean, pulls) pairs, so that equal
+    lanes, and so tied bounds, are common."""
+    pool = draw(st.lists(mean_and_pulls(), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return [pool[i] for i in picks]
+
+
+def _arrays(lanes) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([m for m, _ in lanes], dtype=float),
+            np.array([p for _, p in lanes], dtype=float))
+
+
+class TestVectorizedLower:
+    # the benchmark's grid (perfbench/checks.py), and its tolerance
+    MEANS = (0.0, 1e-6, 0.001, 0.05, 0.13, 0.25, 0.5, 0.75, 0.99, 0.999999, 1.0)
+    PULLS = (1, 2, 17, 188, 10_000, 1_000_000)
+    TOL = 1e-9
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 1.0, 18.77, 40.0])
+    def test_feasible_and_minimal_on_the_benchmark_grid(self, delta):
+        mu = np.repeat(self.MEANS, len(self.PULLS))
+        n = np.tile(np.array(self.PULLS, dtype=float), len(self.MEANS))
+        got = kl_ucb_lower_many(mu, n, delta)
+        for m, pulls, lo in zip(mu.tolist(), n.tolist(), got.tolist()):
+            assert 0.0 <= lo <= m
+            assert pulls * textbook_div(m, lo) <= delta + self.TOL * max(1.0, delta)
+            if delta == 0.0:
+                assert lo == m
+            elif lo - self.TOL > 0.0:
+                assert pulls * textbook_div(m, lo - self.TOL) > delta
+
+    @settings(max_examples=300, deadline=None)
+    @given(mp=mean_and_pulls(), ratio=BUDGET_RATIO)
+    @example(mp=(1.0, 1), ratio=200.0)
+    @example(mp=(1e-20, 188), ratio=1e-15 / 188)
+    @example(mp=(0.1234184616172812, 1), ratio=18.77)  # 151 ulps apart, q/mu = 3.5e-67
+    @example(mp=(2.2250738585e-313, 1), ratio=2.2250738585e-313)  # a subnormal mean is its bound
+    def test_within_ulps_of_the_scalar_bound(self, mp, ratio):
+        # numpy's logs round apart from the math module's by an ulp, and
+        # the ratio form log(q/mu) carries that to q as |log(q/mu)| ulps
+        # of q: on 300,000 seeded triples drawn as in the module docstring
+        # the two bounds ended at most 6 ulps apart where q >= mu/2, and at
+        # most 2|log(q/mu)| + 6.3 ulps apart everywhere
+        mu, pulls = mp
+        delta = ratio * pulls
+        want = kl_ucb_lower(mu, pulls, delta)
+        got = kl_ucb_lower_many(np.array([mu]), np.array([float(pulls)]), delta)[0]
+        if want == 0.0:
+            assert got == 0.0
+        else:
+            assert abs(got - want) <= (8.0 + 2.0 * abs(math.log(want / mu))) * math.ulp(want)
+
+    def test_floor_at_the_smallest_normal(self):
+        mu = np.array([1e-6, 1.0, 5e-324, 1e-310, TINY, 0.0])
+        got = kl_ucb_lower_many(mu, np.ones(6), 1000.0)
+        assert got.tolist() == [TINY, TINY, 5e-324, 1e-310, TINY, 0.0]
+        assert kl_ucb_lower_many(np.array([1e-6]), 1.0, 0.1)[0] == TINY
+
+    def test_closed_form_at_one_estimate(self):
+        got = kl_ucb_lower_many(np.array([1.0, 1.0]), np.array([10.0, 1.0]), 2.0)
+        assert got[0] == pytest.approx(math.exp(-0.2), abs=1e-12)
+        assert got[1] == pytest.approx(math.exp(-2.0), abs=1e-12)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match=r"mu_hat entries must lie in \[0, 1\]"):
+            kl_ucb_lower_many(np.array([0.5, 1.5]), np.array([3.0, 1.0]), 1.0)
+        with pytest.raises(ValueError, match="pulls entries must be finite counts >= 1"):
+            kl_ucb_lower_many(np.array([0.5]), np.array([0.0]), 1.0)
+        with pytest.raises(ValueError):
+            kl_ucb_lower_many(np.array([0.5]), np.array([3.0]), -1.0)
+
+
+class TestOneIteration:
+    """The array bounds and the argmax share one iteration, lane by lane."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lanes=st.lists(mean_and_pulls(), min_size=1, max_size=20), delta=st.floats(0.0, 200.0))
+    @example(lanes=[(NEWTON_CAP[0], NEWTON_CAP[1]), (0.5, 3), (0.0, 1), (1.0, 1)],
+             delta=NEWTON_CAP[2])
+    def test_a_lane_alone_ends_on_the_bits_it_ends_on_in_a_batch(self, lanes, delta):
+        mu, n = _arrays(lanes)
+        for solve in (kl_ucb_upper_many, kl_ucb_lower_many):
+            batch = solve(mu, n, delta).tolist()
+            alone = [solve(mu[k:k + 1], n[k:k + 1], delta)[0] for k in range(len(lanes))]
+            assert [float.hex(x) for x in alone] == [float.hex(x) for x in batch]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lanes=tied_lanes(), delta=st.one_of(st.just(0.0), st.floats(0.0, 200.0)))
+    @example(lanes=[(0.0, 1), (1.0, 1), (1.0, 1), (0.5, 3)], delta=0.0)
+    @example(lanes=[(0.25, 4)] * 5, delta=3.0)
+    @example(lanes=[(0.0, 1), (1.0, 7), (0.0, 1), (1.0, 7)], delta=40.0)
+    @example(lanes=[(NEWTON_CAP[0], NEWTON_CAP[1]), (NEWTON_CAP[0], NEWTON_CAP[1])],
+             delta=NEWTON_CAP[2])
+    def test_argmax_is_the_first_lane_holding_the_largest_bound(self, lanes, delta):
+        mu, n = _arrays(lanes)
+        want = int(np.argmax(kl_ucb_upper_many(mu, n, delta)))
+        assert kl_ucb_argmax(mu, n, delta) == want
+
+    def test_argmax_of_no_lanes_raises(self):
+        with pytest.raises(ValueError):
+            kl_ucb_argmax(np.array([]), np.array([]), 1.0)

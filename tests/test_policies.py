@@ -28,7 +28,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rank1bandit.policies as policies
 from rank1bandit.instances import Environment, Rank1Instance, needle_instance, pbm_like_instance
 from rank1bandit.policies import (
     KLUCB,
@@ -38,7 +41,6 @@ from rank1bandit.policies import (
     Rank1ElimKL,
     UCB1,
     UCB1Elim,
-    absorb_dominated,
     hoeffding_bounds,
     make_policy,
 )
@@ -272,20 +274,87 @@ class TestRank1ElimKLSchedule:
             assert pol.remaining_cols == [0]
 
 
+def eliminate(K, L, h, lower, upper):
+    """One stage boundary of a K x L ``Rank1ElimKL`` whose map is ``h``
+    (rows first, on the policy's one index), given the survivors' bounds
+    in index order; returns the new map."""
+    pol = Rank1ElimKL(K, L, 10**4, np.random.default_rng(0))
+    pol._h = list(h)
+    pol._walk = memoryview(np.array(sorted(set(h))))
+    pol._intervals = lambda mu_hat, pulls: (np.array(lower), np.array(upper))
+    pol._advance_stage()
+    return pol._h
+
+
 class TestEliminationRule:
     def test_boundary_equality_eliminates(self):
-        upper = {0: 0.9, 1: 0.3, 2: 0.6}
-        assert absorb_dominated([0, 1, 2], upper, leader=0, leader_lower=0.3) == [0, 0, 2]
+        # rows 0-2 and one column, entry 3; row 0 leads with lower bound 0.3
+        h = eliminate(3, 1, [0, 1, 2, 3], lower=[0.3, 0.1, 0.2, 0.5], upper=[0.9, 0.3, 0.6, 0.6])
+        assert h == [0, 0, 2, 3]
 
     def test_strictly_above_survives(self):
-        upper = {0: 0.9, 1: 0.30000001}
-        assert absorb_dominated([0, 1], upper, leader=0, leader_lower=0.3) == [0, 1]
+        h = eliminate(2, 1, [0, 1, 2], lower=[0.3, 0.1, 0.5], upper=[0.9, 0.30000001, 0.6])
+        assert h == [0, 1, 2]
 
     def test_repoints_through_old_representative(self):
-        # index 2 already points at representative 1; when 1 is absorbed
+        # row 2 already points at representative 1; when 1 is absorbed
         # by 0 the stale pointer follows
-        upper = {0: 0.9, 1: 0.2}
-        assert absorb_dominated([0, 1, 1], upper, leader=0, leader_lower=0.5) == [0, 0, 0]
+        h = eliminate(3, 1, [0, 1, 1, 3], lower=[0.5, 0.1, 0.5], upper=[0.9, 0.2, 0.6])
+        assert h == [0, 0, 0, 3]
+
+    def test_leader_ties_to_the_lowest_index(self):
+        # rows 1 and 2 share the largest lower bound, as do columns 0 and 1
+        h = eliminate(3, 3, list(range(6)), lower=[0.1, 0.4, 0.4, 0.3, 0.3, 0.0],
+                      upper=[0.2, 0.9, 0.9, 0.8, 0.8, 0.3])
+        assert h == [1, 1, 2, 3, 4, 3]
+
+
+def scalar_boundary(pol) -> list[int]:
+    """The map a stage boundary of ``pol`` leaves, worked out one survivor
+    at a time through ``confidence_bounds``, the one-mean interval."""
+    n_obs, K = pol._n_target, pol.K
+    counts = pol._S.tolist()
+    lower, upper = {}, {}
+    for k in pol._walk:
+        lower[k], upper[k] = pol.confidence_bounds(counts[k] / n_obs, n_obs)
+    h = list(pol._h)
+    for side in ([k for k in pol._walk if k < K], [k for k in pol._walk if k >= K]):
+        leader = max(side, key=lambda k: (lower[k], -k))
+        h = [leader if r in side and upper[r] <= lower[leader] else r for r in h]
+    return h
+
+
+class TestArrayBoundary:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cls=st.sampled_from([Rank1ElimKL, Rank1Elim]),
+        u=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.75, 1.0]), min_size=1, max_size=8),
+        v=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.55, 1.0]), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # exact rewards: rows 0 and 1 tie on every count, and row 2 falls to row 0
+    @example(cls=Rank1ElimKL, u=[1.0, 1.0, 0.0], v=[1.0, 1.0], seed=0)
+    @example(cls=Rank1Elim, u=[1.0, 1.0, 0.0], v=[1.0, 1.0], seed=0)
+    def test_eliminates_as_the_scalar_intervals_do(self, cls, u, v, seed):
+        # random streams on small grids whose equal means tie; every
+        # boundary's map is checked against the one-mean form
+        K, L = len(u), len(v)
+        pol = cls(K, L, 20_000, np.random.default_rng(seed))
+        env = Environment(Rank1Instance(u_bar=u, v_bar=v), np.random.default_rng(seed + 1))
+        advance, boundaries = pol._advance_stage, []
+
+        def checked():
+            want = scalar_boundary(pol)
+            advance()
+            assert pol._h == want
+            assert pol._walk.tolist() == sorted(set(want))
+            boundaries.append(pol.t)
+
+        pol._advance_stage = checked
+        while pol.t < pol.horizon:
+            rows, cols = pol.plan(4096)
+            pol.commit(env.play(rows, cols)[0])
+        assert len(boundaries) >= 1
 
 
 class TestRank1Elim:
@@ -521,10 +590,19 @@ class TestKLUCBPolicy:
         env = zero_noise_env([1.0], [1.0])
         assert drive(pol, env, 20) == [(0, 0)] * 20
 
-    def test_every_step_after_the_sweep_runs_the_full_pass(self):
-        # the KL index has no shortcut: one solver call per step, none ahead
+    def test_every_step_after_the_sweep_runs_the_full_pass(self, monkeypatch):
+        # the KL index has no shortcut: one argmax over every arm per step,
+        # at that step's budget
+        budgets, argmax = [], policies.kl_ucb_argmax
+
+        def counted(mu_hat, pulls, delta):
+            assert mu_hat.size == pulls.size == 6
+            budgets.append(delta)
+            return argmax(mu_hat, pulls, delta)
+
+        monkeypatch.setattr(policies, "kl_ucb_argmax", counted)
         inst = needle_instance(2, 3, 0.2, 0.2, 0.3, 0.3)
         pol = KLUCB(2, 3, 300, np.random.default_rng(0))
-        ahead = index_calls(pol)
         drive(pol, Environment(inst, np.random.default_rng(1)), 300)
-        assert ahead == [0] * (300 - 6)
+        want = [math.log(t) + 3.0 * max(0.0, math.log(math.log(t))) for t in range(7, 301)]
+        assert budgets == want
