@@ -60,23 +60,35 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        instance=args.instance,
-        policy=args.policy,
-        horizon=args.horizon,
-        runs=args.runs,
-        master_seed=args.seed,
-    )
-    jobs = resolve_jobs(args.jobs)
-    _check_out_dir(args.out)
-    _info(f"running {args.policy} on {args.instance}: "
-          f"horizon={args.horizon}, runs={args.runs}, seed={args.seed}")
-    result = run_many(config, jobs=jobs)
-    write_trace_csv(result, args.out)
-    _info(f"final mean pseudo-regret {result.mean_pseudo_regret[-1]:.6g}; "
-          f"wrote {args.out}")
+def _run_cells(cells: list[tuple[ExperimentConfig, str]], jobs: int | None,
+               out_dir: str | None = None) -> int:
+    """Run each (config, CSV path) cell, write its CSV and log one line.
+
+    Every cell's instance and the job count are checked first, then
+    ``out_dir`` is created if given, then every output path is checked, all
+    before the first run."""
+    for config, _ in cells:
+        parse_instance_spec(config.instance)
+    jobs = resolve_jobs(jobs)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    for _, path in cells:
+        _check_out_dir(path)
+    for idx, (config, path) in enumerate(cells, start=1):
+        result = run_many(config, jobs=jobs)
+        write_trace_csv(result, path)
+        _info(f"[{idx}/{len(cells)}] {config.policy} on {config.instance}: final mean "
+              f"pseudo-regret {result.mean_pseudo_regret[-1]:.6g}; wrote {path}")
     return 0
+
+
+def _config(args: argparse.Namespace, instance: str, policy: str) -> ExperimentConfig:
+    return ExperimentConfig(instance=instance, policy=policy, horizon=args.horizon,
+                            runs=args.runs, master_seed=args.seed)
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    return _run_cells([(_config(args, args.instance, args.policy), args.out)], args.jobs)
 
 
 def _dedup_with_warning(values: list, label: str) -> list:
@@ -92,32 +104,12 @@ def _dedup_with_warning(values: list, label: str) -> list:
 def cmd_sweep(args: argparse.Namespace) -> int:
     sizes = _dedup_with_warning(args.sizes, "size")
     policies = _dedup_with_warning(args.policies, "policy")
-    # every cell and the job count are checked before the directory or
-    # any CSV is written
-    specs = {size: f"needle:K={size},L={size},p={args.p},gap={args.gap}" for size in sizes}
-    for spec in specs.values():
-        parse_instance_spec(spec)
     cells = [
-        (policy, size, ExperimentConfig(
-            instance=specs[size],
-            policy=policy,
-            horizon=args.horizon,
-            runs=args.runs,
-            master_seed=args.seed,
-        ))
+        (_config(args, f"needle:K={size},L={size},p={args.p},gap={args.gap}", policy),
+         os.path.join(args.out_dir, f"{policy}_{size}x{size}.csv"))
         for policy in policies for size in sizes
     ]
-    jobs = resolve_jobs(args.jobs)
-    os.makedirs(args.out_dir, exist_ok=True)
-    paths = [os.path.join(args.out_dir, f"{policy}_{size}x{size}.csv") for policy, size, _ in cells]
-    for path in paths:
-        _check_out_dir(path)
-    for idx, ((policy, size, config), path) in enumerate(zip(cells, paths), start=1):
-        _info(f"[{idx}/{len(cells)}] {policy} K=L={size}")
-        result = run_many(config, jobs=jobs)
-        write_trace_csv(result, path)
-        _info(f"  wrote {path}")
-    return 0
+    return _run_cells(cells, args.jobs, out_dir=args.out_dir)
 
 
 def _int_list(text: str) -> list[int]:

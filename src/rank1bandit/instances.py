@@ -426,8 +426,14 @@ def load_instance(path) -> Rank1Instance:
     return Rank1Instance(u_bar=obj["u"], v_bar=obj["v"])
 
 
-_NEEDLE_KEYS = {"K", "L", "p", "gap", "p_u", "p_v", "delta_u", "delta_v"}
-_PBM_KEYS = {"K", "L", "head_mass", "decay"}
+# every generator spec kind: its function, the parameters it takes in call
+# order with their types, and the shared keys that each fill a pair of them
+_GENERATORS = {
+    "needle": (needle_instance,
+               {"K": int, "L": int, "p_u": float, "p_v": float, "delta_u": float, "delta_v": float},
+               {"p": ("p_u", "p_v"), "gap": ("delta_u", "delta_v")}),
+    "pbm-like": (pbm_like_instance, {"K": int, "L": int, "head_mass": float, "decay": float}, {}),
+}
 
 
 def _parse_kv(body: str, allowed: set[str], kind: str) -> dict[str, str]:
@@ -463,28 +469,13 @@ def parse_instance_spec(spec: str) -> Rank1Instance:
     ``pbm-like:K=16,L=16,head_mass=0.85,decay=0.6``, or anything else is
     treated as a path to an instance file.  A key may appear only once.
     """
-    if spec.startswith("needle:"):
-        kv = _parse_kv(spec[len("needle:"):], _NEEDLE_KEYS, "needle")
-        if "p" in kv:
-            kv.setdefault("p_u", kv["p"])
-            kv.setdefault("p_v", kv["p"])
-        if "gap" in kv:
-            kv.setdefault("delta_u", kv["gap"])
-            kv.setdefault("delta_v", kv["gap"])
-        return needle_instance(
-            _need(kv, "K", "needle", int),
-            _need(kv, "L", "needle", int),
-            _need(kv, "p_u", "needle", float),
-            _need(kv, "p_v", "needle", float),
-            _need(kv, "delta_u", "needle", float),
-            _need(kv, "delta_v", "needle", float),
-        )
-    if spec.startswith("pbm-like:"):
-        kv = _parse_kv(spec[len("pbm-like:"):], _PBM_KEYS, "pbm-like")
-        return pbm_like_instance(
-            _need(kv, "K", "pbm-like", int),
-            _need(kv, "L", "pbm-like", int),
-            _need(kv, "head_mass", "pbm-like", float),
-            _need(kv, "decay", "pbm-like", float),
-        )
-    return load_instance(spec)
+    kind, colon, body = spec.partition(":")
+    if not colon or kind not in _GENERATORS:
+        return load_instance(spec)
+    make, params, shared = _GENERATORS[kind]
+    kv = _parse_kv(body, {*params, *shared}, kind)
+    for key, pair in shared.items():
+        if key in kv:
+            for name in pair:
+                kv.setdefault(name, kv[key])
+    return make(*(_need(kv, name, kind, cast) for name, cast in params.items()))

@@ -418,7 +418,7 @@ class UCB1(Policy):
         b = int(self._index(t).argmax())
         if b != a:
             self._leader, self._agreed = b, False
-        elif self._agreed and self._WINDOW:
+        elif self._agreed:
             until = t + self._WINDOW
             buf = self._index(until)
             buf[b] = -math.inf

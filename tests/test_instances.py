@@ -311,6 +311,14 @@ class TestInstanceSpec:
         back = parse_instance_spec(str(path))
         np.testing.assert_array_equal(back.u_bar, inst.u_bar)
 
+    def test_path_with_colon_but_no_kind(self, tmp_path):
+        # only a generator kind before the first colon makes a spec
+        inst = needle_instance(2, 3, 0.25, 0.25, 0.5, 0.5)
+        path = tmp_path / "a:b.json"
+        save_instance(inst, path)
+        back = parse_instance_spec(str(path))
+        np.testing.assert_array_equal(back.v_bar, inst.v_bar)
+
     def test_field_without_value(self):
         with pytest.raises(ValueError, match="bad needle spec field 'L8', expected key=value"):
             parse_instance_spec("needle:K=8,L8,p=0.25,gap=0.5")
